@@ -17,15 +17,11 @@ import numpy as np
 
 from . import engine
 from .engine import ConfigError, DataError, NumericalAbort, ShapeError
-from . import loss as loss_mod
-from .loss import (WeightMatrix, discrete_challenge_score, load_weight_matrix,
+from .loss import (discrete_challenge_score, load_weight_matrix,
                    merged_class_table, predict)
 from .model import build_model, layer_table, parameter_count, tiny_config
 from .pipeline import (filter_and_split, load_dataset, make_synthetic_dataset,
                        synthetic_weight_matrix, write_dataset)
-from .scatter import scatter_forward
-from .tensor import Tensor, grad_check
-from . import tensor as T
 from .trainer import (Checkpoint, TrainConfig, config_from_mapping, evaluate,
                       load_config_file, train)
 from .wavelets import analyticity_report, filter_bank

@@ -279,13 +279,19 @@ def clip(x, lo: float | None, hi: float | None) -> Tensor:
     return Tensor._result(data, (x,), backward)
 
 
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    # Branch on sign so large |x| never exponentiates to overflow: with
+    # ez = exp(-|x|), sigmoid is 1 / (1 + ez) for x >= 0 and ez / (1 + ez)
+    # otherwise, which one division over a selected numerator gives.
+    ez = np.abs(a, out=np.empty_like(a))
+    np.negative(ez, out=ez)
+    np.exp(ez, out=ez)
+    return np.where(a >= 0, 1, ez) / (1 + ez)
+
+
 def sigmoid(x) -> Tensor:
     x = _coerce(x)
-    # Branch on sign so large |x| never exponentiates to overflow.
-    pos = x.data >= 0
-    z = np.where(pos, -x.data, x.data)
-    ez = np.exp(z)
-    data = np.where(pos, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    data = _sigmoid(x.data)
 
     def backward(g):
         if x.requires_grad:
@@ -297,10 +303,7 @@ def sigmoid(x) -> Tensor:
 def swish(x) -> Tensor:
     """x * sigmoid(x)."""
     x = _coerce(x)
-    pos = x.data >= 0
-    z = np.where(pos, -x.data, x.data)
-    ez = np.exp(z)
-    sig = np.where(pos, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    sig = _sigmoid(x.data)
     data = x.data * sig
 
     def backward(g):
@@ -463,10 +466,19 @@ def _check_time_op(x: Tensor, kernel: int, stride: int, padding: int, name: str)
     return l_out
 
 
+# Byte budget of one output block in conv1d's forward loop; the block, the
+# product scratch and one input run together stay within a 4 MB L2 cache.
+_CONV_BLOCK_BYTES = 512 * 1024
+
+
 def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation over time. x (B, Ci, L), w (Co, Ci, K) -> (B, Co, L_out).
 
     L_out = floor((L + 2*padding - K) / stride) + 1. Bias optional, shape (Co,).
+    Every output element sums its Ci*K products from 0 in (ci, k) order and
+    then adds the bias, bit for bit what a plain nested loop gives; the
+    forward runs in cache-sized blocks of a channel-major layout without
+    changing that order.
     """
     x, w = _coerce(x), _coerce(w)
     if w.data.ndim != 3:
@@ -477,27 +489,52 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
         raise ShapeError(f"conv1d: Ci mismatch, x has {x.data.shape[1]}, w has {ci}")
     bsz, _, l_in = x.data.shape
 
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
-    else:
-        xp = x.data
-
-    # Terms accumulate one (ci, k) tap at a time so every output element sums
-    # its products in the same order a plain nested loop would. BLAS-backed
-    # contractions reassociate the sum and drift in the last bit.
-    data = np.zeros((bsz, co, l_out), dtype=xp.dtype)
-    end = (l_out - 1) * stride + 1
-    for c_in in range(ci):
-        for kk in range(k):
-            sl = xp[:, c_in, kk:kk + end:stride]
-            data += sl[:, None, :] * w.data[None, :, c_in, kk, None]
-
     bias = None
     if b is not None:
         bias = _coerce(b)
         if bias.data.shape != (co,):
             raise ShapeError("conv1d bias must have shape (Co,)")
-        data = data + bias.data[None, :, None]
+
+    # Channel-major padded copy (Ci, B, L + 2p). With stride 2 it is split
+    # into its even and odd samples, so tap kk reads phase kk % stride from
+    # offset kk // stride as one contiguous run per batch row.
+    xc = np.zeros((ci, bsz, l_in + 2 * padding), dtype=x.data.dtype)
+    xc[:, :, padding:padding + l_in] = x.data.transpose(1, 0, 2)
+    phases = [np.ascontiguousarray(xc[:, :, p::stride]) for p in range(min(k, stride))]
+    # Backward holds x itself, or with padding its padded copy, as a view of xc.
+    xp = xc.transpose(1, 0, 2) if padding else x.data
+
+    # The output is built as (Co, B, L_out) in blocks of at most
+    # _CONV_BLOCK_BYTES: a range of output channels, or, when one channel's
+    # plane is larger, a range of batch rows of one channel. Each block takes
+    # its (ci, k) taps in order, so every output element still sums its
+    # products from 0 in the order a plain nested loop would, and the bias
+    # comes last, in the one pass that transposes to (B, Co, L_out).
+    # BLAS-backed contractions would reassociate the sum and drift in the
+    # last bit; blocking only keeps the per-tap multiply and add in cache.
+    out = np.zeros((co, bsz, l_out), dtype=xc.dtype)
+    row_bytes = l_out * out.itemsize
+    if bsz * row_bytes <= _CONV_BLOCK_BYTES:
+        c_step, b_step = min(co, _CONV_BLOCK_BYTES // (bsz * row_bytes)), bsz
+    else:
+        c_step, b_step = 1, max(1, _CONV_BLOCK_BYTES // row_bytes)
+    scratch = np.empty((c_step, b_step, l_out), dtype=np.result_type(xc.dtype, w.data.dtype))
+    for c0 in range(0, co, c_step):
+        c1 = min(c0 + c_step, co)
+        for b0 in range(0, bsz, b_step):
+            b1 = min(b0 + b_step, bsz)
+            block = out[c0:c1, b0:b1]
+            prod = scratch[:c1 - c0, :b1 - b0]
+            for c_in in range(ci):
+                for kk in range(k):
+                    off = kk // stride
+                    run = phases[kk % stride][c_in, b0:b1, off:off + l_out]
+                    np.multiply(w.data[c0:c1, c_in, kk, None, None], run, out=prod)
+                    block += prod
+    if bias is None:
+        data = np.ascontiguousarray(out.transpose(1, 0, 2))
+    else:
+        data = np.add(out.transpose(1, 0, 2), bias.data[None, :, None], order="C")
 
     parents = (x, w) if bias is None else (x, w, bias)
 

@@ -27,9 +27,8 @@ from .tensor import Tensor
 from .loss import (WeightMatrix, bce, combined_loss, discrete_challenge_score,
                    load_weight_matrix, merged_class_table, predict)
 from .model import Model, ModelConfig, build_model, tiny_config
-from .pipeline import (AugmentConfig, Record, WINDOW_LEN, disabled_augment,
-                       filter_and_split, load_dataset, make_window,
-                       prepare_pieces)
+from .pipeline import (AugmentConfig, Record, filter_and_split, load_dataset,
+                       make_window, prepare_pieces)
 
 _MAGIC = b"SCTN\x01"
 

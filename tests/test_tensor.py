@@ -39,6 +39,21 @@ def conv1d_bruteforce(x, w, b, stride, padding):
     return out
 
 
+def conv1d_per_tap(x, w, b, stride, padding):
+    """Whole-array reference: one numpy multiply-add per (ci, k) tap, in that
+    order, from zero; bias added last."""
+    bsz, cin, length = x.shape
+    cout, _, k = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    lout = (length + 2 * padding - k) // stride + 1
+    end = (lout - 1) * stride + 1
+    out = np.zeros((bsz, cout, lout), dtype=x.dtype)
+    for ci in range(cin):
+        for kk in range(k):
+            out += xp[:, ci, None, kk:kk + end:stride] * w[None, :, ci, kk, None]
+    return out + b[None, :, None]
+
+
 class TestConv1d:
     def test_identity_kernel(self):
         out = conv1d(Tensor(np.array([[[1.0, 2.0, 3.0]]])),
@@ -83,6 +98,29 @@ class TestConv1d:
                                     want = conv1d_bruteforce(x, w, b, stride, pad)
                                     assert np.array_equal(got, want), \
                                         (bsz, cin, cout, k, length, stride, pad)
+
+    # (B, Ci, Co, K, L, stride, padding): several output-channel blocks; the
+    # same with stride 2 over an odd length; the scatter geometry (K=9,
+    # stride 2, padding 4, one channel) with one plane over several
+    # batch-row blocks; and stride 2 over an odd length inside one block.
+    @pytest.mark.parametrize("shape", [(8, 3, 40, 1, 1000, 1, 0),
+                                       (8, 5, 21, 3, 1001, 2, 1),
+                                       (70, 1, 1, 9, 2049, 2, 4),
+                                       (3, 4, 5, 7, 33, 2, 3)])
+    @pytest.mark.parametrize("block_bytes", [None, 20000])
+    def test_block_edges_bitwise_64bit(self, monkeypatch, shape, block_bytes):
+        # None keeps the module's block size; 20000 bytes cuts every plane
+        # above into batch-row blocks with a short last block.
+        if block_bytes is not None:
+            monkeypatch.setattr(T, "_CONV_BLOCK_BYTES", block_bytes)
+        engine.set_precision("float64")
+        bsz, cin, cout, k, length, stride, pad = shape
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((bsz, cin, length))
+        w = rng.standard_normal((cout, cin, k))
+        b = rng.standard_normal(cout)
+        got = conv1d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=pad).data
+        assert np.array_equal(got, conv1d_per_tap(x, w, b, stride, pad))
 
     def test_window_too_short(self):
         x = Tensor(np.zeros((1, 1, 2), dtype=np.float32))
