@@ -12,6 +12,7 @@ a finite-difference check in the test suite.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -279,19 +280,61 @@ def clip(x, lo: float | None, hi: float | None) -> Tensor:
     return Tensor._result(data, (x,), backward)
 
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
+# Byte budget of one block in the blocked forward loops: conv1d's output
+# blocks, and the row blocks of sigmoid, swish and eval-mode batchnorm. A
+# block, its scratch and one input run together stay within a 4 MB L2 cache.
+_BLOCK_BYTES = 512 * 1024
+
+
+def _rows_per_block(a: np.ndarray) -> int:
+    """Rows along axis 0 that fit in _BLOCK_BYTES; at least one."""
+    return max(1, _BLOCK_BYTES // max(1, a.itemsize * math.prod(a.shape[1:])))
+
+
+def _sigmoid(a: np.ndarray, sig: np.ndarray | None, prod: np.ndarray | None) -> None:
+    """Write sigmoid(a) into ``sig`` and a * sigmoid(a) into ``prod``.
+
+    Either output may be None; when ``sig`` is None the sigmoid lives only
+    in a block-sized scratch. The work runs over blocks of whole rows along
+    axis 0 of at most _BLOCK_BYTES, with one scratch set per call, so each
+    block takes every pass while it is in cache.
+    """
     # Branch on sign so large |x| never exponentiates to overflow: with
     # ez = exp(-|x|), sigmoid is 1 / (1 + ez) for x >= 0 and ez / (1 + ez)
-    # otherwise, which one division over a selected numerator gives.
-    ez = np.abs(a, out=np.empty_like(a))
-    np.negative(ez, out=ez)
-    np.exp(ez, out=ez)
-    return np.where(a >= 0, 1, ez) / (1 + ez)
+    # otherwise, which one division over a selected numerator gives. The
+    # numerator is max([x >= 0], ez): as 0 <= ez <= 1, that is 1 where
+    # x >= 0 and ez elsewhere (NaN where x is NaN), exactly what a select
+    # picks, but without a select whose cost follows the sign pattern.
+    a = np.atleast_1d(a)
+    step = _rows_per_block(a)
+    ez = np.empty((min(step, len(a)),) + a.shape[1:], dtype=a.dtype)
+    pos = np.empty(ez.shape, dtype=bool)
+    if sig is None:
+        num = np.empty_like(ez)
+    else:
+        sig = np.atleast_1d(sig)
+    if prod is not None:
+        prod = np.atleast_1d(prod)
+    for r0 in range(0, len(a), step):
+        rows = slice(r0, r0 + step)
+        xa = a[rows]
+        e, p = ez[:len(xa)], pos[:len(xa)]
+        s = num[:len(xa)] if sig is None else sig[rows]
+        np.abs(xa, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.greater_equal(xa, 0, out=p)
+        np.maximum(p, e, out=s)
+        e += 1
+        np.divide(s, e, out=s)
+        if prod is not None:
+            np.multiply(xa, s, out=prod[rows])
 
 
 def sigmoid(x) -> Tensor:
     x = _coerce(x)
-    data = _sigmoid(x.data)
+    data = np.empty_like(x.data)
+    _sigmoid(x.data, data, None)
 
     def backward(g):
         if x.requires_grad:
@@ -303,8 +346,11 @@ def sigmoid(x) -> Tensor:
 def swish(x) -> Tensor:
     """x * sigmoid(x)."""
     x = _coerce(x)
-    sig = _sigmoid(x.data)
-    data = x.data * sig
+    data = np.empty_like(x.data)
+    # Only backward reads the full sigmoid, so it is kept only when a graph
+    # is recorded.
+    sig = np.empty_like(x.data) if engine.grad_enabled() and x.requires_grad else None
+    _sigmoid(x.data, sig, data)
 
     def backward(g):
         if x.requires_grad:
@@ -466,11 +512,6 @@ def _check_time_op(x: Tensor, kernel: int, stride: int, padding: int, name: str)
     return l_out
 
 
-# Byte budget of one output block in conv1d's forward loop; the block, the
-# product scratch and one input run together stay within a 4 MB L2 cache.
-_CONV_BLOCK_BYTES = 512 * 1024
-
-
 def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation over time. x (B, Ci, L), w (Co, Ci, K) -> (B, Co, L_out).
 
@@ -505,7 +546,7 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     xp = xc.transpose(1, 0, 2) if padding else x.data
 
     # The output is built as (Co, B, L_out) in blocks of at most
-    # _CONV_BLOCK_BYTES: a range of output channels, or, when one channel's
+    # _BLOCK_BYTES: a range of output channels, or, when one channel's
     # plane is larger, a range of batch rows of one channel. Each block takes
     # its (ci, k) taps in order, so every output element still sums its
     # products from 0 in the order a plain nested loop would, and the bias
@@ -514,10 +555,10 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     # last bit; blocking only keeps the per-tap multiply and add in cache.
     out = np.zeros((co, bsz, l_out), dtype=xc.dtype)
     row_bytes = l_out * out.itemsize
-    if bsz * row_bytes <= _CONV_BLOCK_BYTES:
-        c_step, b_step = min(co, _CONV_BLOCK_BYTES // (bsz * row_bytes)), bsz
+    if bsz * row_bytes <= _BLOCK_BYTES:
+        c_step, b_step = min(co, _BLOCK_BYTES // (bsz * row_bytes)), bsz
     else:
-        c_step, b_step = 1, max(1, _CONV_BLOCK_BYTES // row_bytes)
+        c_step, b_step = 1, max(1, _BLOCK_BYTES // row_bytes)
     scratch = np.empty((c_step, b_step, l_out), dtype=np.result_type(xc.dtype, w.data.dtype))
     for c0 in range(0, co, c_step):
         c1 = min(c0 + c_step, co)
@@ -572,13 +613,17 @@ def maxpool1d(x, kernel: int = 3, stride: int = 2, padding: int = 1) -> Tensor:
                     constant_values=-np.inf)
     else:
         xp = x.data
-    win = _window_view(xp, kernel, stride, l_out)
-    arg = win.argmax(axis=2)  # first max wins: lowest index
-    data = np.ascontiguousarray(win.max(axis=2))
+    # A running maximum over the K strided slices, in tap order; the argmax
+    # that routes gradients is only needed, and only computed, in backward.
+    end = stride * (l_out - 1) + 1
+    data = xp[:, :, :end:stride].copy()
+    for kk in range(1, kernel):
+        np.maximum(data, xp[:, :, kk:kk + end:stride], out=data)
 
     def backward(g):
         if not x.requires_grad:
             return
+        arg = _window_view(xp, kernel, stride, l_out).argmax(axis=2)  # first max wins
         gxp = np.zeros_like(xp)
         for kk in range(kernel):
             sel = arg == kk
@@ -649,8 +694,10 @@ def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarra
             rv_arr *= 1.0 - momentum
             rv_arr += momentum * var * (n / (n - 1.0))
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mu[None, :, None]) * inv[None, :, None]
-        data = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
+        xhat = x.data - mu[None, :, None]
+        xhat *= inv[None, :, None]
+        data = gamma.data[None, :, None] * xhat
+        data += beta.data[None, :, None]
 
         def backward(g):
             if beta.requires_grad:
@@ -667,15 +714,32 @@ def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarra
 
         return Tensor._result(data, (x, gamma, beta), backward)
 
+    # Eval mode runs over row blocks of at most _BLOCK_BYTES, each taking its
+    # four passes while in cache, and keeps no xhat: backward recomputes it
+    # from x and from copies of the statistics taken now, because later
+    # training steps update the running arrays in place.
     inv = 1.0 / np.sqrt(rv_arr + eps)
-    xhat = (x.data - rm_arr[None, :, None]) * inv[None, :, None]
-    data = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
+    mean = rm_arr.copy()
+    mean_c, inv_c = mean[None, :, None], inv[None, :, None]
+    gamma_c, beta_c = gamma.data[None, :, None], beta.data[None, :, None]
+    xhat_dtype = np.result_type(x.data, mean, inv)
+    data = np.empty(x.data.shape, dtype=np.result_type(gamma.data, xhat_dtype, beta.data))
+    step = _rows_per_block(data)
+    xhat = np.empty((min(step, len(data)),) + data.shape[1:], dtype=xhat_dtype)
+    for r0 in range(0, len(data), step):
+        rows = slice(r0, r0 + step)
+        out = data[rows]
+        xh = xhat[:len(out)]
+        np.subtract(x.data[rows], mean_c, out=xh)
+        np.multiply(xh, inv_c, out=xh)
+        np.multiply(gamma_c, xh, out=out)
+        np.add(out, beta_c, out=out)
 
     def backward(g):
         if beta.requires_grad:
             beta._accumulate(g.sum(axis=(0, 2)))
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=(0, 2)))
+            gamma._accumulate((g * ((x.data - mean_c) * inv_c)).sum(axis=(0, 2)))
         if x.requires_grad:
             x._accumulate(g * (gamma.data * inv)[None, :, None])
 

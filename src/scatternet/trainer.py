@@ -231,6 +231,20 @@ def new_schedule_state(cfg: TrainConfig) -> dict:
 # -- checkpoint -----------------------------------------------------------------
 
 
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _valid_index_entry(entry) -> bool:
+    """An index entry names its array and gives its shape and payload offset."""
+    return (isinstance(entry, dict)
+            and isinstance(entry.get("kind"), str)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(map(_is_count, entry["shape"]))
+            and _is_count(entry.get("offset")))
+
+
 @dataclass
 class Checkpoint:
     manifest: dict
@@ -272,7 +286,9 @@ class Checkpoint:
             "version": 1,
             "variant": variant,
             "model": dataclasses.asdict(mcfg),
-            "train_config": cfg.to_dict(),
+            # out is where the file goes, not a training setting: identical
+            # trainings saved under two paths give identical files
+            "train_config": {k: v for k, v in cfg.to_dict().items() if k != "out"},
             "classes": list(classes),
             "epoch": epoch,
             "best_score": best_score,
@@ -300,15 +316,20 @@ class Checkpoint:
             raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
         if raw[: len(_MAGIC)] != _MAGIC:
             raise DataError(f"{path} is not a checkpoint (bad magic)")
-        (blob_len,) = struct.unpack_from("<Q", raw, len(_MAGIC))
         start = len(_MAGIC) + 8
+        if len(raw) < start:
+            raise DataError(f"{path}: header truncated at {len(raw)} bytes")
+        (blob_len,) = struct.unpack_from("<Q", raw, len(_MAGIC))
         try:
             manifest = json.loads(raw[start:start + blob_len].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: corrupt manifest: {exc}") from exc
+        index = manifest.get("index") if isinstance(manifest, dict) else None
+        if not isinstance(index, list) or not all(map(_valid_index_entry, index)):
+            raise DataError(f"{path}: corrupt manifest: no valid array index")
         payload = raw[start + blob_len:]
         arrays: dict[str, np.ndarray] = {}
-        for entry in manifest["index"]:
+        for entry in index:
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
             begin = entry["offset"]

@@ -1,14 +1,16 @@
 """Command-line behavior: the synth/train/eval/score chain, exit codes,
 CSV helpers, and the reporting subcommands."""
 
+import json
 import re
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from scatternet import engine
+from scatternet import engine, trainer
 from scatternet.cli import main, read_prediction_csv, write_prediction_csv
 from scatternet.engine import DataError
 from scatternet.model import ModelConfig, build_model, parameter_count, tiny_config
@@ -98,6 +100,22 @@ class TestExitCodes:
     def test_missing_checkpoint_is_data_error(self, capsys, tmp_path, dataset_dir):
         assert main(["eval", "--ckpt", str(tmp_path / "no.ckpt"),
                      "--data", str(dataset_dir)]) == 2
+
+    def _assert_one_line_data_error(self, capsys, ckpt, dataset_dir):
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(dataset_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_short_checkpoint_header_is_data_error(self, capsys, tmp_path, dataset_dir):
+        ckpt = tmp_path / "short.ckpt"
+        ckpt.write_bytes(trainer._MAGIC + b"\x00")  # 6 bytes, no manifest length
+        self._assert_one_line_data_error(capsys, ckpt, dataset_dir)
+
+    def test_checkpoint_without_index_is_data_error(self, capsys, tmp_path, dataset_dir):
+        blob = json.dumps({"version": 1, "variant": "baseline"}).encode("utf-8")
+        ckpt = tmp_path / "noindex.ckpt"
+        ckpt.write_bytes(trainer._MAGIC + struct.pack("<Q", len(blob)) + blob)
+        self._assert_one_line_data_error(capsys, ckpt, dataset_dir)
 
     def test_bad_config_value_is_usage_error(self, capsys, tmp_path, dataset_dir):
         cfg = tmp_path / "bad.cfg"

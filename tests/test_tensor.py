@@ -112,7 +112,7 @@ class TestConv1d:
         # None keeps the module's block size; 20000 bytes cuts every plane
         # above into batch-row blocks with a short last block.
         if block_bytes is not None:
-            monkeypatch.setattr(T, "_CONV_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(T, "_BLOCK_BYTES", block_bytes)
         engine.set_precision("float64")
         bsz, cin, cout, k, length, stride, pad = shape
         rng = np.random.default_rng(5)
@@ -466,3 +466,120 @@ class TestBackward:
         b = Tensor(rng.standard_normal((2, 4, 5)), requires_grad=True)
         f = lambda aa, bb: tensor_sum(T.matmul(aa, bb))
         assert grad_check(f, [a, b]) < 1e-4
+
+
+def sigmoid_select(a):
+    """The earlier sigmoid kernel: a select over the sign, then one division."""
+    ez = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1, ez) / (1 + ez)
+
+
+def batchnorm_eval_reference(x, gamma, beta, rm, rv, eps=1e-5):
+    """The earlier eval-mode batchnorm: returns (out, xhat, inv) on whole arrays."""
+    inv = 1.0 / np.sqrt(rv + eps)
+    xhat = (x - rm[None, :, None]) * inv[None, :, None]
+    return gamma[None, :, None] * xhat + beta[None, :, None], xhat, inv
+
+
+SIGMOID_SPECIALS = [0.0, -0.0, 100.0, -100.0, 88.7, -88.7, 710.0, -710.0,
+                    np.inf, -np.inf, 1e-40, -1e-40, 5e-324, -5e-324]
+
+
+class TestBlockedKernelsBitwise:
+    """The row-blocked, branch-free forward kernels give the same bits as the
+    whole-array formulas they replaced."""
+
+    # 0-d; one block; a 3-D array over several blocks with a short last
+    # block; rows larger than a block (one row per block).
+    @pytest.mark.parametrize("shape", [(), (84, 256), (9, 48, 1280), (3, 140000)])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("record", [True, False])
+    def test_sigmoid_swish(self, shape, precision, record):
+        engine.set_precision(precision)
+        rng = np.random.default_rng(16)
+        a = (rng.standard_normal(shape) * 10).astype(engine.dtype())
+        if a.ndim:
+            a.flat[:len(SIGMOID_SPECIALS)] = np.array(SIGMOID_SPECIALS).astype(a.dtype)
+        sig = sigmoid_select(a)
+        g = rng.standard_normal(shape).astype(a.dtype)
+        with np.errstate(invalid="ignore"):
+            want_swish = a * sig
+            want_grad = g * (sig + a * sig * (1.0 - sig))
+        for op, want in ((sigmoid, sig), (swish, want_swish)):
+            x = Tensor(a, requires_grad=record)
+            if record:
+                with np.errstate(invalid="ignore"):
+                    out = op(x)
+            else:
+                with engine.no_grad(), np.errstate(invalid="ignore"):
+                    out = op(x)
+            assert out.data.shape == a.shape and out.data.dtype == a.dtype
+            assert out.data.tobytes() == want.tobytes(), op.__name__
+        if record:
+            # swish's backward reads the sigmoid it kept in forward
+            x = Tensor(a, requires_grad=True)
+            with np.errstate(invalid="ignore"):
+                swish(x).backward(g)
+            assert x.grad.tobytes() == want_grad.tobytes()
+
+    def _bn_inputs(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        c = shape[1]
+        x = (rng.standard_normal(shape) * 2 + 1).astype(np.float32)
+        gamma = (rng.random(c) + 0.5).astype(np.float32)
+        beta = rng.standard_normal(c).astype(np.float32)
+        rm = rng.standard_normal(c).astype(np.float32)
+        rv = (rng.random(c) + 0.1).astype(np.float32)
+        return x, gamma, beta, rm, rv
+
+    # one block, and several blocks with a short last block
+    @pytest.mark.parametrize("shape", [(4, 3, 50), (9, 48, 1280)])
+    def test_batchnorm_eval(self, shape):
+        x, gamma, beta, rm, rv = self._bn_inputs(shape, 17)
+        want, xhat, inv = batchnorm_eval_reference(x, gamma, beta, rm, rv)
+        with engine.no_grad():
+            plain = batchnorm1d(Tensor(x), Tensor(gamma), Tensor(beta), rm, rv,
+                                training=False)
+        xt = Tensor(x, requires_grad=True)
+        gt, bt = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
+        recorded = batchnorm1d(xt, gt, bt, rm, rv, training=False)
+        assert plain.data.tobytes() == want.tobytes()
+        assert recorded.data.tobytes() == want.tobytes()
+
+        # Training steps update the running arrays in place; backward must
+        # still use the statistics the forward saw.
+        rm += 1.0
+        rv *= 3.0
+        g = np.random.default_rng(18).standard_normal(shape).astype(np.float32)
+        recorded.backward(g)
+        assert gt.grad.tobytes() == (g * xhat).sum(axis=(0, 2)).tobytes()
+        assert bt.grad.tobytes() == g.sum(axis=(0, 2)).tobytes()
+        assert xt.grad.tobytes() == (g * (gamma * inv)[None, :, None]).tobytes()
+
+    def test_batchnorm_train(self):
+        x, gamma, beta, rm, rv = self._bn_inputs((6, 5, 40), 19)
+        mu, var = x.mean(axis=(0, 2)), x.var(axis=(0, 2))
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        xhat = (x - mu[None, :, None]) * inv[None, :, None]
+        want = gamma[None, :, None] * xhat + beta[None, :, None]
+        out = batchnorm1d(Tensor(x), Tensor(gamma), Tensor(beta), rm, rv, training=True)
+        assert out.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kernel,stride,padding", [(3, 2, 1), (3, 1, 0), (2, 2, 0),
+                                                        (3, 2, 0), (1, 1, 0)])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_maxpool_forward(self, kernel, stride, padding, precision):
+        # Small integers give many tied windows; zeros of both signs tie
+        # too, and a NaN must win its windows.
+        engine.set_precision(precision)
+        rng = np.random.default_rng(20)
+        x = rng.integers(-2, 3, size=(3, 4, 101)).astype(engine.dtype())
+        zeros = x == 0
+        x[zeros] = rng.choice(np.array([0.0, -0.0]), size=int(zeros.sum()))
+        x.flat[::97] = np.nan
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)), constant_values=-np.inf)
+        l_out = (x.shape[2] + 2 * padding - kernel) // stride + 1
+        want = T._window_view(xp, kernel, stride, l_out).max(axis=2)
+        got = maxpool1d(Tensor(x), kernel=kernel, stride=stride, padding=padding).data
+        assert got.flags.c_contiguous
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -431,6 +431,12 @@ class TestTrainLoop:
         loaded = Checkpoint.load(out)
         assert loaded.manifest == ck.manifest
 
+    def test_identical_trainings_write_identical_files(self, tiny_dataset, tmp_path):
+        first, second = tmp_path / "a.ckpt", tmp_path / "runs" / "b.ckpt"
+        train(quick_cfg(max_epochs=1, out=str(first)), dataset=tiny_dataset)
+        train(quick_cfg(max_epochs=1, out=str(second)), dataset=tiny_dataset)
+        assert first.read_bytes() == second.read_bytes()
+
     def test_nan_loss_aborts(self, tiny_dataset, monkeypatch):
         class _Bad:
             data = np.float64("nan")
