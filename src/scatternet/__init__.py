@@ -5,7 +5,7 @@ from .engine import (ConfigError, DataError, NumericalAbort, ShapeError,
                      WindowTooShort, derived_rng, no_grad, precision, seed)
 from .tensor import Tensor, grad_check
 from .wavelets import FilterBank, analyticity_report, fft, filter_bank
-from .scatter import ScatterLayer, scatter_forward
+from .scatter import scatter_forward
 from .model import (LayerSpec, ModelConfig, build_model, layer_specs,
                     layer_table, parameter_count, tiny_config)
 from .loss import (WeightMatrix, bce, challenge_term, combined_loss,
@@ -19,20 +19,20 @@ from .pipeline import (AugmentConfig, Record, Window, augment, aux_features,
                        normalize_arctan, piece_offsets, prepare_pieces,
                        random_crop_pad, resample_to_500, split_windows,
                        synthetic_weight_matrix, target_vector, write_dataset)
-from .trainer import (Adam, Checkpoint, TrainConfig, adam_step, evaluate,
-                      evaluate_model, load_config_file, lr_schedule_step,
-                      new_schedule_state, train)
+from .trainer import (Adam, Checkpoint, TrainConfig, adam_step, evaluate_model,
+                      load_config_file, lr_schedule_step, new_schedule_state,
+                      train)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Adam", "AugmentConfig", "Checkpoint", "ConfigError", "DataError",
     "FilterBank", "LayerSpec", "ModelConfig", "NumericalAbort", "Record",
-    "ScatterLayer", "ShapeError", "Tensor", "TrainConfig", "WeightMatrix",
+    "ShapeError", "Tensor", "TrainConfig", "WeightMatrix",
     "Window", "WindowTooShort", "adam_step", "analyticity_report", "augment",
     "aux_features", "bce", "build_model", "center_crop_pad", "challenge_term",
     "combined_loss", "derived_rng", "disabled_augment",
-    "discrete_challenge_score", "evaluate", "evaluate_model", "fft",
+    "discrete_challenge_score", "evaluate_model", "fft",
     "filter_and_split", "filter_bank", "grad_check", "identity_weight_matrix",
     "layer_specs", "layer_table", "load_config_file", "load_dataset",
     "load_weight_matrix", "lr_schedule_step", "make_synthetic_dataset",

@@ -22,8 +22,8 @@ from .loss import (discrete_challenge_score, load_weight_matrix,
 from .model import build_model, layer_table, parameter_count, tiny_config
 from .pipeline import (filter_and_split, load_dataset, make_synthetic_dataset,
                        synthetic_weight_matrix, write_dataset)
-from .trainer import (Checkpoint, TrainConfig, config_from_mapping, evaluate,
-                      load_config_file, train)
+from .trainer import (Checkpoint, TrainConfig, config_from_mapping,
+                      evaluate_model, load_config_file, train)
 from .wavelets import analyticity_report, filter_bank
 
 _PUBLISHED_COUNTS = {"baseline": 214957, "scatter": 166504}
@@ -175,13 +175,13 @@ def _cmd_eval(args) -> int:
     ckpt = Checkpoint.load(args.ckpt)
     records, wm = load_dataset(args.data)
     merged, _ = merged_class_table(wm)
-    seed = int(ckpt.manifest["train_config"]["seed"])
-    splits = filter_and_split(records, merged, seed=seed)
+    splits = filter_and_split(records, merged,
+                              seed=ckpt.manifest["train_config"]["seed"])
     chosen = splits[args.split]
     if not chosen:
         raise DataError(f"split {args.split!r} is empty")
-    result = evaluate(ckpt, chosen, wm, threshold=args.threshold,
-                      pooled=args.pooled)
+    result = evaluate_model(ckpt.build_model(), chosen, wm,
+                            threshold=args.threshold, pooled=args.pooled)
     print(f"split={args.split} windows={len(result['ids'])} "
           f"score={result['score']:.9f} bce={result['bce']:.6f}")
     for i, name in enumerate(result["classes"]):

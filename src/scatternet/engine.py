@@ -63,10 +63,6 @@ def dtype() -> type:
     return _PRECISIONS[_state.dtype_name]
 
 
-def precision_name() -> str:
-    return _state.dtype_name
-
-
 def set_precision(name: str) -> None:
     if name not in _PRECISIONS:
         raise ConfigError(f"precision must be one of {sorted(_PRECISIONS)}, got {name!r}")
@@ -125,8 +121,3 @@ def no_grad() -> Iterator[None]:
     finally:
         _state.grad_enabled = old
 
-
-def check_finite(x: np.ndarray, where: str) -> None:
-    """Raise NumericalAbort when x contains nan or inf."""
-    if not np.all(np.isfinite(x)):
-        raise NumericalAbort(f"non-finite values in {where}")

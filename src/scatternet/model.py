@@ -20,7 +20,7 @@ import numpy as np
 
 from . import engine
 from .engine import ConfigError, ShapeError
-from .scatter import ScatterLayer
+from .scatter import scatter_forward
 from . import tensor as T
 from .tensor import Tensor
 
@@ -134,9 +134,6 @@ class Module:
             out.extend(child.named_buffers(prefix + name + "."))
         return out
 
-    def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
-
 
 def _kaiming_uniform(shape: tuple[int, ...], fan_in: int) -> Tensor:
     limit = math.sqrt(6.0 / fan_in)
@@ -233,7 +230,6 @@ class ScatterBlock(Module):
                 f"scatter block needs out = 2*in, got {c_in} -> {c_out}")
         if w2 != 2 * w1:
             raise ConfigError(f"scatter block needs w2 = 2*w1, got {w1}, {w2}")
-        self.scatter = ScatterLayer()
         self.conv1 = self._add_child("conv1", Conv1d(c_in, w1, 1))
         self.bn1 = self._add_child("bn1", BatchNorm1d(w1))
         self.bn_mid = self._add_child("bn_mid", BatchNorm1d(w2))
@@ -243,9 +239,9 @@ class ScatterBlock(Module):
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
         h = self.bn1.forward(self.conv1.forward(x, mode), mode)
-        h = self.bn_mid.forward(self.scatter.forward(h, mode), mode)
+        h = self.bn_mid.forward(scatter_forward(h), mode)
         h = T.swish(self.bn2.forward(self.conv2.forward(h, mode), mode))
-        skip = self.skip_bn.forward(self.scatter.forward(x, mode), mode)
+        skip = self.skip_bn.forward(scatter_forward(x), mode)
         return T.add(h, skip)
 
 

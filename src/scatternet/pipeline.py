@@ -150,25 +150,28 @@ def _slice_window(x: np.ndarray, start: int, out_len: int) -> np.ndarray:
     return x[:, start:start + out_len].copy()
 
 
+def _crop_start(l_in: int, out_len: int, rng: np.random.Generator | None) -> int:
+    """The center without an rng; 0 for a short input; else one uniform draw."""
+    if rng is None:
+        return max(0, (l_in - out_len) // 2)
+    if l_in <= out_len:
+        return 0
+    return int(rng.integers(0, l_in - out_len + 1))
+
+
 def random_crop_pad(x: np.ndarray, out_len: int = WINDOW_LEN,
                     rng: np.random.Generator | None = None) -> np.ndarray:
     """Uniform random crop to out_len; short inputs zero-pad symmetrically
     (left pad floor((out-L)/2))."""
-    if rng is None:
-        rng = engine.rng()
     x = np.asarray(x)
-    if x.shape[1] <= out_len:
-        start = 0
-    else:
-        start = int(rng.integers(0, x.shape[1] - out_len + 1))
+    start = _crop_start(x.shape[1], out_len, engine.rng() if rng is None else rng)
     return _slice_window(x, start, out_len)
 
 
 def center_crop_pad(x: np.ndarray, out_len: int = WINDOW_LEN) -> np.ndarray:
     """Deterministic center crop (evaluation path), zero-pad when short."""
     x = np.asarray(x)
-    start = max(0, (x.shape[1] - out_len) // 2)
-    return _slice_window(x, start, out_len)
+    return _slice_window(x, _crop_start(x.shape[1], out_len, None), out_len)
 
 
 def augment(x: np.ndarray, rng: np.random.Generator,
@@ -245,15 +248,10 @@ def make_window(piece: Record, table: dict[str, int], k: int,
     With an rng the crop start is uniform and ``aug`` (if given) is applied;
     without one the crop is the deterministic center and nothing is added.
     """
-    l_in = piece.signal.shape[1]
-    if rng is None:
-        start = max(0, (l_in - out_len) // 2)
-        data = _slice_window(piece.signal, start, out_len)
-    else:
-        start = 0 if l_in <= out_len else int(rng.integers(0, l_in - out_len + 1))
-        data = _slice_window(piece.signal, start, out_len)
-        if aug is not None:
-            data = augment(data, rng, aug)
+    start = _crop_start(piece.signal.shape[1], out_len, rng)
+    data = _slice_window(piece.signal, start, out_len)
+    if rng is not None and aug is not None:
+        data = augment(data, rng, aug)
     return Window(data=data, target=target_vector(piece.labels, table, k),
                   aux=aux_features(piece), record_id=piece.id,
                   offset=piece.origin_offset + start)

@@ -20,22 +20,19 @@ from __future__ import annotations
 import numpy as np
 
 from . import engine
-from .engine import ConfigError, ShapeError, WindowTooShort
+from .engine import ShapeError, WindowTooShort
 from .tensor import Tensor, add, concat, conv1d, mul, reshape, sqrt
-from .wavelets import FilterBank, filter_bank
+from .wavelets import filter_bank
 
 _PAD = 4
 _STRIDE = 2
+# Smooths the modulus sqrt(re^2 + im^2 + _EPS_MOD) so the gradient stays
+# finite at zero response; the forward perturbation is below sqrt(_EPS_MOD).
+_EPS_MOD = 1e-12
 
 
-def scatter_forward(x: Tensor, fb: FilterBank | None = None,
-                    eps_mod: float = 1e-12) -> Tensor:
-    """Map (B, C, L) to (B, 2C, ceil(L/2)); differentiable everywhere.
-
-    eps_mod smooths the modulus sqrt(re^2 + im^2 + eps_mod) so the gradient
-    stays finite at zero response; the forward perturbation is below
-    sqrt(eps_mod).
-    """
+def scatter_forward(x: Tensor) -> Tensor:
+    """Map (B, C, L) to (B, 2C, ceil(L/2)); differentiable everywhere."""
     if not isinstance(x, Tensor):
         x = Tensor(x)
     if x.ndim != 3:
@@ -43,8 +40,7 @@ def scatter_forward(x: Tensor, fb: FilterBank | None = None,
     b, c, l = x.shape
     if l < 2:
         raise WindowTooShort(f"scatter_forward: window too short, L={l} < 2")
-    if fb is None:
-        fb = filter_bank()
+    fb = filter_bank()
 
     dt = engine.dtype()
     w_phi = Tensor(np.asarray(fb.phi, dtype=dt)[None, None, :])
@@ -56,32 +52,9 @@ def scatter_forward(x: Tensor, fb: FilterBank | None = None,
     low = conv1d(flat, w_phi, stride=_STRIDE, padding=_PAD)
     re = conv1d(flat, w_re, stride=_STRIDE, padding=_PAD)
     im = conv1d(flat, w_im, stride=_STRIDE, padding=_PAD)
-    mod = sqrt(add(add(mul(re, re), mul(im, im)), eps_mod))
+    mod = sqrt(add(add(mul(re, re), mul(im, im)), _EPS_MOD))
 
     t = low.shape[2]
     pair = concat([low, mod], axis=1)          # (B*C, 2, T)
     return reshape(pair, (b, 2 * c, t))
 
-
-class ScatterLayer:
-    """Stateless module wrapper around ``scatter_forward``."""
-
-    def __init__(self, fb: FilterBank | None = None, eps_mod: float = 1e-12,
-                 channel_order: str = "interleave") -> None:
-        if channel_order != "interleave":
-            raise ConfigError(f"unsupported channel_order {channel_order!r}")
-        if eps_mod <= 0:
-            raise ConfigError("eps_mod must be > 0")
-        self.filter_bank = fb if fb is not None else filter_bank()
-        self.eps_mod = float(eps_mod)
-        self.channel_order = channel_order
-
-    def forward(self, x: Tensor, mode: str = "eval") -> Tensor:
-        del mode  # no train/eval distinction: no parameters, no state
-        return scatter_forward(x, self.filter_bank, self.eps_mod)
-
-    def named_parameters(self, prefix: str = ""):
-        return []
-
-    def named_buffers(self, prefix: str = ""):
-        return []

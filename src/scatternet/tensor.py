@@ -64,15 +64,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = g.copy()
@@ -155,9 +146,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return mean(self, axis=axis, keepdims=keepdims)
-
-    def clip(self, lo, hi):
-        return clip(self, lo, hi)
 
 
 def _coerce(x) -> Tensor:
@@ -429,10 +417,7 @@ def tensor_sum(x, axis=None, keepdims: bool = False) -> Tensor:
     def backward(g):
         if not x.requires_grad:
             return
-        if axis is None:
-            x._accumulate(np.broadcast_to(g, x.data.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         x._accumulate(np.broadcast_to(g, x.data.shape).copy())
 

@@ -11,6 +11,7 @@ and optimizer moments; save/load/save round-trips are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -191,8 +192,7 @@ class Adam:
 
     def step(self, lr: float) -> None:
         params = [p.data for _, p in self.named]
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                 for _, p in self.named]
+        grads = [p.grad for _, p in self.named]
         adam_step(params, grads, self.state, lr, self.beta1, self.beta2, self.eps)
 
     def moments(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
@@ -243,6 +243,34 @@ def _valid_index_entry(entry) -> bool:
             and isinstance(entry.get("shape"), list)
             and all(map(_is_count, entry["shape"]))
             and _is_count(entry.get("offset")))
+
+
+_MODEL_FIELDS = frozenset(f.name for f in dataclasses.fields(ModelConfig))
+
+
+def _manifest_problem(manifest) -> str | None:
+    """Why a decoded manifest cannot describe a checkpoint, or None."""
+    if not isinstance(manifest, dict):
+        return "not a JSON object"
+    index = manifest.get("index")
+    if not isinstance(index, list) or not all(map(_valid_index_entry, index)):
+        return "no valid array index"
+    if manifest.get("variant") not in ("baseline", "scatter"):
+        return f"variant must be baseline or scatter, got {manifest.get('variant')!r}"
+    model = manifest.get("model")
+    if not isinstance(model, dict):
+        return "model is not an object"
+    unknown = model.keys() - _MODEL_FIELDS
+    if unknown:
+        return f"unknown model keys {sorted(unknown)}"
+    cfg = manifest.get("train_config")
+    seed = cfg.get("seed") if isinstance(cfg, dict) else None
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        return "train_config has no integer seed"
+    classes = manifest.get("classes")
+    if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+        return "classes is not a list of strings"
+    return None
 
 
 @dataclass
@@ -298,14 +326,23 @@ class Checkpoint:
         return cls(manifest=manifest, arrays=arrays)
 
     def save(self, path) -> None:
+        """Write to a temporary file beside ``path``, then rename it onto
+        ``path``: a failed save leaves whatever was there untouched."""
         blob = json.dumps(self.manifest, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-            for entry in self.manifest["index"]:
-                fh.write(self.arrays[self._key(entry["kind"], entry["name"])].tobytes())
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(_MAGIC)
+                fh.write(struct.pack("<Q", len(blob)))
+                fh.write(blob)
+                for entry in self.manifest["index"]:
+                    fh.write(self.arrays[self._key(entry["kind"], entry["name"])].tobytes())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
@@ -324,20 +361,25 @@ class Checkpoint:
             manifest = json.loads(raw[start:start + blob_len].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: corrupt manifest: {exc}") from exc
-        index = manifest.get("index") if isinstance(manifest, dict) else None
-        if not isinstance(index, list) or not all(map(_valid_index_entry, index)):
-            raise DataError(f"{path}: corrupt manifest: no valid array index")
+        problem = _manifest_problem(manifest)
+        if problem:
+            raise DataError(f"{path}: corrupt manifest: {problem}")
         payload = raw[start + blob_len:]
         arrays: dict[str, np.ndarray] = {}
-        for entry in index:
+        end = 0
+        # the index must tile the payload in order, as save writes it
+        for entry in manifest["index"]:
+            if entry["offset"] != end:
+                raise DataError(f"{path}: array {entry['name']} at offset "
+                                f"{entry['offset']}, expected {end}")
             shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            begin = entry["offset"]
-            end = begin + 4 * count
+            begin, end = end, end + 4 * math.prod(shape)
             if end > len(payload):
                 raise DataError(f"{path}: payload truncated at {entry['name']}")
             arr = np.frombuffer(payload[begin:end], dtype="<f4").reshape(shape)
             arrays[cls._key(entry["kind"], entry["name"])] = arr
+        if end != len(payload):
+            raise DataError(f"{path}: {len(payload) - end} bytes after the last array")
         return cls(manifest=manifest, arrays=arrays)
 
     def model_config(self) -> ModelConfig:
@@ -405,15 +447,15 @@ def _eval_windows(model: Model, windows, batch_size: int
 
 def evaluate_model(model: Model, records: list[Record], wm: WeightMatrix,
                    threshold: float = 0.5, batch_size: int = 256,
-                   pooled: bool = False, window_len: int | None = None) -> dict:
+                   pooled: bool = False) -> dict:
     """Center-cropped, augmentation-free metrics over a record list."""
     merged, table = merged_class_table(wm)
     if merged.k != model.config.n_classes:
         raise DataError(f"model has {model.config.n_classes} classes, weight "
                         f"matrix merges to {merged.k}")
-    out_len = window_len or model.config.window
     pieces = prepare_pieces(records)
-    windows = [make_window(p, table, merged.k, out_len=out_len) for p in pieces]
+    windows = [make_window(p, table, merged.k, out_len=model.config.window)
+               for p in pieces]
     probs, truth, ids = _eval_windows(model, windows, batch_size)
     pred = predict(probs, threshold)
     tp = ((pred > 0.5) & (truth > 0.5)).sum(axis=0).astype(np.float64)
@@ -432,13 +474,6 @@ def evaluate_model(model: Model, records: list[Record], wm: WeightMatrix,
         "truth": truth,
         "classes": merged.labels,
     }
-
-
-def evaluate(ckpt: Checkpoint, records: list[Record], wm: WeightMatrix,
-             threshold: float = 0.5, batch_size: int = 256,
-             pooled: bool = False) -> dict:
-    return evaluate_model(ckpt.build_model(), records, wm, threshold=threshold,
-                          batch_size=batch_size, pooled=pooled)
 
 
 # -- training loop ----------------------------------------------------------------------
@@ -518,7 +553,7 @@ def train(cfg: TrainConfig, dataset: tuple[list[Record], WeightMatrix] | None = 
         lr_now = lr_schedule_step(sched, train_loss)
         val = evaluate_model(model, splits["val"], merged,
                              threshold=cfg.threshold, batch_size=cfg.batch_size,
-                             pooled=cfg.pooled, window_len=mcfg.window)
+                             pooled=cfg.pooled)
         # ties keep the most recent state so continued training is not discarded
         if val["score"] >= best_score:
             best_score = val["score"]

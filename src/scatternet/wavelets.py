@@ -7,8 +7,8 @@ positive frequencies. ``analyticity_report`` quantifies that and the joint
 operator-norm bound of the pair.
 
 The coefficients are stored verbatim to all printed digits; there is no
-generator formula. The radix-2 FFT below exists only for the report and is
-not a general facility.
+generator formula. The report's spectra come from ``np.fft.fft``; ``fft``
+below only adds the power-of-two length check the report relies on.
 """
 
 from __future__ import annotations
@@ -75,31 +75,13 @@ def filter_bank() -> FilterBank:
     return FilterBank()
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    rev = np.zeros(1, dtype=np.intp)
-    while rev.size < n:
-        rev = np.concatenate([2 * rev, 2 * rev + 1])
-    return rev
-
-
 def fft(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 transform of a power-of-two length complex vector."""
+    """``np.fft.fft`` of a power-of-two length complex vector."""
     x = np.asarray(x, dtype=np.complex128)
     n = x.size
     if n == 0 or n & (n - 1):
         raise ConfigError(f"fft length must be a power of two, got {n}")
-    out = x[_bit_reverse_indices(n)].copy()
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddle = np.exp(-2j * np.pi * np.arange(half) / size)
-        blocks = out.reshape(-1, size)
-        odd = blocks[:, half:] * twiddle
-        even = blocks[:, :half].copy()
-        blocks[:, :half] = even + odd
-        blocks[:, half:] = even - odd
-        size *= 2
-    return out
+    return np.fft.fft(x)
 
 
 def _centered_spectrum(taps: np.ndarray, center_index: int, fft_len: int) -> np.ndarray:

@@ -117,6 +117,30 @@ class TestExitCodes:
         ckpt.write_bytes(trainer._MAGIC + struct.pack("<Q", len(blob)) + blob)
         self._assert_one_line_data_error(capsys, ckpt, dataset_dir)
 
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda m: m.pop("train_config"), "seed"),
+        (lambda m: m["model"].update(bogus=1), "bogus"),
+        (lambda m: m["train_config"].update(seed="x"), "seed"),
+        (lambda m: m["train_config"].update(seed=True), "seed"),
+        (lambda m: m.update(variant="hybrid"), "hybrid"),
+        (lambda m: m.update(classes=["c00", 1]), "classes"),
+    ], ids=["no-train-config", "unknown-model-key", "str-seed", "bool-seed",
+            "unknown-variant", "non-str-class"])
+    def test_invalid_manifest_is_data_error(self, capsys, tmp_path, dataset_dir,
+                                            edit, problem):
+        manifest = {"version": 1, "variant": "baseline",
+                    "model": {"n_classes": 2, "window": 512},
+                    "train_config": {"seed": 0}, "classes": ["c00", "c01"],
+                    "epoch": 0, "best_score": 0.0, "adam_step": 0, "index": []}
+        edit(manifest)
+        blob = json.dumps(manifest).encode("utf-8")
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(trainer._MAGIC + struct.pack("<Q", len(blob)) + blob)
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(dataset_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "corrupt manifest" in err and problem in err
+
     def test_bad_config_value_is_usage_error(self, capsys, tmp_path, dataset_dir):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("lr=-1\n", encoding="utf-8")

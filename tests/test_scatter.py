@@ -6,7 +6,7 @@ import pytest
 from scatternet import engine
 from scatternet import tensor as T
 from scatternet.engine import ShapeError, WindowTooShort
-from scatternet.scatter import ScatterLayer, scatter_forward
+from scatternet.scatter import scatter_forward
 from scatternet.tensor import Tensor, grad_check, tensor_sum
 from scatternet.wavelets import analyticity_report, filter_bank
 
@@ -159,25 +159,3 @@ class TestGradients:
             return tensor_sum(T.mul(scatter_forward(xx), sel))
 
         assert grad_check(f, [x], max_samples=48, seed=1) < 1e-4
-
-
-class TestScatterLayer:
-    def test_holds_no_parameters(self):
-        layer = ScatterLayer()
-        assert list(layer.named_parameters()) == []
-        assert list(layer.named_buffers()) == []
-
-    def test_forward_matches_function(self):
-        rng = np.random.default_rng(11)
-        x = Tensor(rng.standard_normal((1, 2, 30)).astype(np.float32))
-        layer = ScatterLayer()
-        np.testing.assert_array_equal(layer.forward(x, mode="train").data,
-                                      scatter_forward(x).data)
-
-    def test_channel_order_validated(self):
-        with pytest.raises(engine.ConfigError):
-            ScatterLayer(channel_order="blocked")
-
-    def test_eps_mod_validated(self):
-        with pytest.raises(engine.ConfigError):
-            ScatterLayer(eps_mod=0.0)

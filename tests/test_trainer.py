@@ -1,6 +1,9 @@
 """Optimizer, plateau schedule, checkpoint format, evaluation, and the
 training loop."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -107,6 +110,22 @@ class TestAdamWrapper:
         opt.step(0.1)
         np.testing.assert_array_equal(named[0][1].data, [1.0, 2.0])
         assert opt.step_count == 1
+
+    def test_missing_grad_leaves_param_and_moments(self):
+        named = self._params()
+        opt = Adam(named)
+        for _, p in named:
+            p.grad = np.ones_like(p.data)
+        opt.step(0.1)
+        before = [(p.data.copy(), m.copy(), v.copy())
+                  for (_, p), (_, m, v) in zip(named, opt.moments())]
+        opt.zero_grad()
+        opt.step(0.1)
+        assert opt.step_count == 2
+        for (p0, m0, v0), (_, p), (_, m, v) in zip(before, named, opt.moments()):
+            np.testing.assert_array_equal(p.data, p0)
+            np.testing.assert_array_equal(m, m0)
+            np.testing.assert_array_equal(v, v0)
 
     def test_zero_grad(self):
         named = self._params()
@@ -353,6 +372,58 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="cannot read checkpoint"):
             Checkpoint.load(tmp_path / "absent.ckpt")
 
+    @staticmethod
+    def _saved_parts(tmp_path):
+        mcfg, model, opt = small_model_state()
+        ckpt = checkpoint_of(mcfg, model, opt)
+        path = tmp_path / "m.ckpt"
+        ckpt.save(path)
+        raw = path.read_bytes()
+        start = len(trainer._MAGIC) + 8
+        (blob_len,) = struct.unpack_from("<Q", raw, len(trainer._MAGIC))
+        manifest = json.loads(raw[start:start + blob_len])
+        return path, manifest, raw[start + blob_len:]
+
+    @staticmethod
+    def _write(path, manifest, payload):
+        blob = json.dumps(manifest).encode("utf-8")
+        path.write_bytes(trainer._MAGIC + struct.pack("<Q", len(blob)) + blob + payload)
+
+    def test_overlapping_offset_rejected(self, tmp_path):
+        path, manifest, payload = self._saved_parts(tmp_path)
+        manifest["index"][1]["offset"] = manifest["index"][0]["offset"]
+        self._write(path, manifest, payload)
+        with pytest.raises(DataError, match="offset"):
+            Checkpoint.load(path)
+
+    def test_gap_between_arrays_rejected(self, tmp_path):
+        path, manifest, payload = self._saved_parts(tmp_path)
+        cut = manifest["index"][1]["offset"]
+        for entry in manifest["index"][1:]:
+            entry["offset"] += 4
+        self._write(path, manifest, payload[:cut] + bytes(4) + payload[cut:])
+        with pytest.raises(DataError, match="offset"):
+            Checkpoint.load(path)
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        path, manifest, payload = self._saved_parts(tmp_path)
+        self._write(path, manifest, payload + b"\x00")
+        with pytest.raises(DataError, match="1 bytes after the last array"):
+            Checkpoint.load(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        mcfg, model, opt = small_model_state()
+        ckpt = checkpoint_of(mcfg, model, opt)
+        path = tmp_path / "m.ckpt"
+        ckpt.save(path)
+        before = path.read_bytes()
+        arrays = dict(ckpt.arrays)
+        del arrays[next(reversed(arrays))]  # the last array: fails after most bytes
+        with pytest.raises(KeyError):
+            Checkpoint(manifest=ckpt.manifest, arrays=arrays).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
 
 class TestEvaluate:
     def test_class_mismatch(self):
@@ -362,7 +433,7 @@ class TestEvaluate:
         recs = make_synthetic_dataset(2, 2, np.random.default_rng(0))
         wm = identity_weight_matrix(["c00", "c01", "c02"])
         with pytest.raises(DataError, match="merges"):
-            evaluate_model(model, recs, wm, window_len=512)
+            evaluate_model(model, recs, wm)
 
     def test_deterministic(self):
         mcfg = ModelConfig(n_leads=12, n_classes=2, window=512, heads=2,
@@ -370,8 +441,8 @@ class TestEvaluate:
         model = build_model(mcfg, "baseline")
         recs = make_synthetic_dataset(3, 2, np.random.default_rng(1))
         wm = synthetic_weight_matrix(2)
-        a = evaluate_model(model, recs, wm, window_len=512)
-        b = evaluate_model(model, recs, wm, window_len=512)
+        a = evaluate_model(model, recs, wm)
+        b = evaluate_model(model, recs, wm)
         np.testing.assert_array_equal(a["probs"], b["probs"])
         assert a["score"] == b["score"]
         assert a["ids"] == b["ids"]
@@ -384,8 +455,7 @@ class TestEvaluate:
         model.fc2.w.data[:] = 0.0
         model.fc2.b.data[:] = -20.0
         recs = make_synthetic_dataset(4, 2, np.random.default_rng(2))
-        res = evaluate_model(model, recs, synthetic_weight_matrix(2),
-                             window_len=512)
+        res = evaluate_model(model, recs, synthetic_weight_matrix(2))
         assert (res["probs"] < 1e-6).all()
         assert res["score"] == 0.0
         assert res["precision"].shape == (2,)
@@ -460,5 +530,5 @@ class TestTrainLoop:
         from scatternet.loss import merged_class_table
         merged, _ = merged_class_table(wm)
         splits = filter_and_split(recs, merged, seed=cfg.seed)
-        res = evaluate_model(model, splits["val"], wm, window_len=512)
+        res = evaluate_model(model, splits["val"], wm)
         assert res["score"] == pytest.approx(ck.manifest["best_score"], abs=1e-9)
