@@ -347,6 +347,16 @@ class Model(Module):
         self.fc1 = self._add_child("fc1", Linear(fc1.in_channels, fc1.out_channels))
         self.fc2 = self._add_child("fc2", Linear(fc2.in_channels, fc2.out_channels))
 
+        # One contiguous array holds every parameter, in named_parameters
+        # order, and each Tensor's data is its view of it, so an optimizer
+        # can update back-to-back parameters as one array.
+        named = self.named_parameters()
+        arena = np.concatenate([p.data.ravel() for _, p in named])
+        offset = 0
+        for _, p in named:
+            p.data = arena[offset:offset + p.size].reshape(p.shape)
+            offset += p.size
+
     def forward(self, x: Tensor, aux: Tensor, mode: str = "eval") -> Tensor:
         if not isinstance(x, Tensor):
             x = Tensor(x)

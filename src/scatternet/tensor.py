@@ -70,6 +70,14 @@ class Tensor:
         else:
             self.grad += g
 
+    def _accumulate_fresh(self, g: np.ndarray) -> None:
+        """_accumulate for a new array that only the caller holds: a first
+        gradient takes it over instead of copying it."""
+        if self.grad is None:
+            self.grad = g
+        else:
+            self.grad += g
+
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Populate ``.grad`` on every reachable tensor with requires_grad."""
         if not self.requires_grad:
@@ -342,7 +350,7 @@ def swish(x) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(g * (sig + x.data * sig * (1.0 - sig)))
+            x._accumulate_fresh(g * (sig + x.data * sig * (1.0 - sig)))
 
     return Tensor._result(data, (x,), backward)
 
@@ -567,23 +575,41 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     def backward(g):
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2)))
+        # The products below are the ones einsum(optimize=True) and
+        # tensordot reach in the end, called directly to skip their
+        # per-call planning; the operand order, and so every bit, is theirs.
         if w.requires_grad:
             if k == 1:
                 xs = xp[:, :, ::stride][:, :, :l_out]
-                gw = np.einsum("bol,bcl->oc", g, xs, optimize=True)[:, :, None]
+                if min(bsz, co, ci, l_out) > 1:
+                    gw = (xs.transpose(1, 0, 2).reshape(ci, -1)
+                          @ g.transpose(0, 2, 1).reshape(-1, co)).T[:, :, None]
+                else:
+                    # einsum drops size-1 axes and multiplies differently
+                    gw = np.einsum("bol,bcl->oc", g, xs, optimize=True)[:, :, None]
             else:
+                # tensordot(g, window view, ([0, 2], [0, 3]))
                 win = _window_view(xp, k, stride, l_out)
-                gw = np.tensordot(g, win, axes=([0, 2], [0, 3]))
-            w._accumulate(gw)
+                gw = np.dot(g.transpose(1, 0, 2).reshape(co, -1),
+                            win.transpose(0, 3, 1, 2).reshape(-1, ci * k)
+                            ).reshape(co, ci, k)
+            w._accumulate_fresh(gw)
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            # dwin (B, Ci, K, L_out), then K scatter-adds undo the window view.
-            dwin = np.tensordot(w.data, g, axes=([0], [1])).transpose(2, 0, 1, 3)
+            # dwin (B, Ci, K, L_out) = tensordot(w, g, ([0], [1])), then one
+            # strided add per tap, in tap order, undoes the window view. Taps
+            # that land in the padding are left out, so each element of x
+            # sums the same terms in the same order as on a padded copy.
+            dwin = np.dot(w.data.transpose(1, 2, 0).reshape(ci * k, co),
+                          g.transpose(1, 0, 2).reshape(co, -1)
+                          ).reshape(ci, k, bsz, l_out).transpose(2, 0, 1, 3)
+            gx = np.zeros(x.data.shape, dtype=x.data.dtype)
             for kk in range(k):
-                gxp[:, :, kk:kk + stride * l_out:stride] += dwin[:, :, kk, :]
-            if padding:
-                gxp = gxp[:, :, padding:padding + l_in]
-            x._accumulate(gxp)
+                j0 = max(0, -((kk - padding) // stride))
+                j1 = min(l_out, (l_in - 1 + padding - kk) // stride + 1)
+                if j1 > j0:
+                    s = kk - padding + stride * j0
+                    gx[:, :, s:s + stride * (j1 - j0):stride] += dwin[:, :, kk, j0:j1]
+            x._accumulate_fresh(gx)
 
     return Tensor._result(data, parents, backward)
 
@@ -671,15 +697,18 @@ def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarra
     if training:
         axes = (0, 2)
         n = x.data.shape[0] * x.data.shape[2]
-        mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        # One shared mean, byte-equal to x.mean and x.var (which computes the
+        # mean again): xhat starts as x - mean, and the variance is the mean
+        # of its squares.
+        mu = np.add.reduce(x.data, axis=axes, keepdims=True) / n
+        xhat = x.data - mu
+        var = np.add.reduce(xhat * xhat, axis=axes) / n
         rm_arr *= 1.0 - momentum
-        rm_arr += momentum * mu
+        rm_arr += momentum * mu.reshape(c)
         if n > 1:
             rv_arr *= 1.0 - momentum
             rv_arr += momentum * var * (n / (n - 1.0))
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = x.data - mu[None, :, None]
         xhat *= inv[None, :, None]
         data = gamma.data[None, :, None] * xhat
         data += beta.data[None, :, None]
@@ -695,7 +724,7 @@ def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarra
                 s2 = (dxhat * xhat).sum(axis=axes)
                 gx = (dxhat - (s1[None, :, None] + xhat * s2[None, :, None]) / n)
                 gx *= inv[None, :, None]
-                x._accumulate(gx)
+                x._accumulate_fresh(gx)
 
         return Tensor._result(data, (x, gamma, beta), backward)
 

@@ -18,6 +18,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -177,35 +178,91 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: dict,
         p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
+def _flat_offset(a: np.ndarray) -> int | None:
+    """Element offset of a C-contiguous ``a`` in the flat array it views, or
+    None when ``a`` is not such a view."""
+    base = a.base
+    if (not isinstance(base, np.ndarray) or base.ndim != 1 or base.dtype != a.dtype
+            or not base.flags.c_contiguous or not a.flags.c_contiguous):
+        return None
+    return ((a.__array_interface__["data"][0] - base.__array_interface__["data"][0])
+            // a.itemsize)
+
+
 class Adam:
-    """Binds ``adam_step`` to a model's named parameters."""
+    """Binds ``adam_step`` to a list of named parameters.
+
+    The first and second moments live in two flat arrays, one slice per
+    parameter in list order. A step hands ``adam_step`` runs: parameters
+    that each have a gradient of their own shape and dtype and lie back to
+    back in one flat array, as in a model's parameter arena, go as one view
+    with their gradients concatenated. Any other parameter (one without a
+    gradient, or a tensor outside an arena) is a run of one, passed as it is.
+    """
 
     def __init__(self, named_params: list[tuple[str, Tensor]],
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
         self.named = named_params
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.state: dict = {}
+        self.step_count = 0
+        self._data = [p.data for _, p in named_params]
+        self._bounds = list(accumulate((d.size for d in self._data), initial=0))
+        dtype = np.result_type(*{d.dtype for d in self._data}) if self._data \
+            else engine.dtype()
+        self._m = np.zeros(self._bounds[-1], dtype=dtype)
+        self._v = np.zeros_like(self._m)
+        self._m_views = [self._m[lo:hi].reshape(d.shape) for lo, hi, d in
+                         zip(self._bounds, self._bounds[1:], self._data)]
+        self._v_views = [self._v[lo:hi].reshape(d.shape) for lo, hi, d in
+                         zip(self._bounds, self._bounds[1:], self._data)]
+        # _follows[i]: parameter i's data starts where parameter i-1's ends,
+        # in the same flat array
+        self._offsets = [_flat_offset(d) for d in self._data]
+        self._follows = [i > 0 and off is not None and self._offsets[i - 1] is not None
+                         and d.base is self._data[i - 1].base
+                         and off == self._offsets[i - 1] + self._data[i - 1].size
+                         for i, (d, off) in enumerate(zip(self._data, self._offsets))]
 
     def zero_grad(self) -> None:
         for _, p in self.named:
             p.grad = None
 
+    def _runs(self) -> list[list]:
+        """[start, stop, packable] index ranges that cover the parameters."""
+        runs: list[list] = []
+        for i, (_, p) in enumerate(self.named):
+            g = p.grad
+            packable = (g is not None and p.data is self._data[i]
+                        and g.shape == p.data.shape and g.dtype == p.data.dtype)
+            if packable and self._follows[i] and runs[-1][2]:
+                runs[-1][1] = i + 1
+            else:
+                runs.append([i, i + 1, packable])
+        return runs
+
     def step(self, lr: float) -> None:
-        params = [p.data for _, p in self.named]
-        grads = [p.grad for _, p in self.named]
-        adam_step(params, grads, self.state, lr, self.beta1, self.beta2, self.eps)
+        params, grads, ms, vs = [], [], [], []
+        for a, b, _ in self._runs():
+            if b - a == 1:
+                params.append(self.named[a][1].data)
+                grads.append(self.named[a][1].grad)
+                ms.append(self._m_views[a])
+                vs.append(self._v_views[a])
+                continue
+            lo, hi = self._bounds[a], self._bounds[b]
+            start = self._offsets[a]
+            params.append(self._data[a].base[start:start + hi - lo])
+            grads.append(np.concatenate([p.grad for _, p in self.named[a:b]], axis=None))
+            ms.append(self._m[lo:hi])
+            vs.append(self._v[lo:hi])
+        state = {"m": ms, "v": vs, "t": self.step_count}
+        adam_step(params, grads, state, lr, self.beta1, self.beta2, self.eps)
+        self.step_count = state["t"]
 
     def moments(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
-        if not self.state:
-            zero = [(n, np.zeros_like(p.data), np.zeros_like(p.data))
-                    for n, p in self.named]
-            return zero
+        """(name, m, v) per parameter; m and v are views of the moment arrays."""
         return [(n, m, v) for (n, _), m, v in
-                zip(self.named, self.state["m"], self.state["v"])]
-
-    @property
-    def step_count(self) -> int:
-        return self.state.get("t", 0)
+                zip(self.named, self._m_views, self._v_views)]
 
 
 def lr_schedule_step(state: dict, train_loss: float) -> float:
@@ -245,7 +302,19 @@ def _valid_index_entry(entry) -> bool:
             and _is_count(entry.get("offset")))
 
 
-_MODEL_FIELDS = frozenset(f.name for f in dataclasses.fields(ModelConfig))
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# What each ModelConfig field of a manifest must hold, and how to say so.
+_MODEL_VALUES = {
+    **dict.fromkeys(("n_leads", "n_classes", "window", "heads", "aux_features",
+                     "fc_hidden"), (lambda v: _is_count(v) and v >= 1, "an integer >= 1")),
+    "dropout": (lambda v: _is_number(v) and 0 <= v < 1, "a number in [0, 1)"),
+    "width_scale": (lambda v: _is_number(v) and math.isfinite(v) and v > 0,
+                    "a finite number > 0"),
+    "pos_encoding": (lambda v: isinstance(v, bool), "a boolean"),
+}
 
 
 def _manifest_problem(manifest) -> str | None:
@@ -260,9 +329,13 @@ def _manifest_problem(manifest) -> str | None:
     model = manifest.get("model")
     if not isinstance(model, dict):
         return "model is not an object"
-    unknown = model.keys() - _MODEL_FIELDS
+    unknown = model.keys() - _MODEL_VALUES.keys()
     if unknown:
         return f"unknown model keys {sorted(unknown)}"
+    for key, value in model.items():
+        valid, what = _MODEL_VALUES[key]
+        if not valid(value):
+            return f"model.{key} must be {what}, got {value!r}"
     cfg = manifest.get("train_config")
     seed = cfg.get("seed") if isinstance(cfg, dict) else None
     if not isinstance(seed, int) or isinstance(seed, bool):
@@ -376,8 +449,10 @@ class Checkpoint:
             begin, end = end, end + 4 * math.prod(shape)
             if end > len(payload):
                 raise DataError(f"{path}: payload truncated at {entry['name']}")
-            arr = np.frombuffer(payload[begin:end], dtype="<f4").reshape(shape)
-            arrays[cls._key(entry["kind"], entry["name"])] = arr
+            key = cls._key(entry["kind"], entry["name"])
+            if key in arrays:
+                raise DataError(f"{path}: index lists {key} twice")
+            arrays[key] = np.frombuffer(payload[begin:end], dtype="<f4").reshape(shape)
         if end != len(payload):
             raise DataError(f"{path}: {len(payload) - end} bytes after the last array")
         return cls(manifest=manifest, arrays=arrays)
@@ -399,19 +474,18 @@ class Checkpoint:
             if tuple(p.data.shape) != self.arrays[key].shape:
                 raise DataError(f"checkpoint parameter {name} has shape "
                                 f"{self.arrays[key].shape}, model wants {p.data.shape}")
-            p.data = self.arrays[key].astype(dt)
+            # written in place: a model's parameters are views of its arena
+            p.data[...] = self.arrays[key]
         for name, buf in model.named_buffers():
             key = self._key("buffer", name)
             if key not in self.arrays:
                 raise DataError(f"checkpoint lacks buffer {name}")
             buf[...] = self.arrays[key].astype(dt)
         if adam is not None:
-            m_list, v_list = [], []
-            for name, p in model.named_parameters():
-                m_list.append(self.arrays[self._key("adam_m", name)].astype(dt).copy())
-                v_list.append(self.arrays[self._key("adam_v", name)].astype(dt).copy())
-            adam.state = {"m": m_list, "v": v_list,
-                          "t": int(self.manifest["adam_step"])}
+            for name, m, v in adam.moments():
+                m[...] = self.arrays[self._key("adam_m", name)]
+                v[...] = self.arrays[self._key("adam_v", name)]
+            adam.step_count = int(self.manifest["adam_step"])
 
 
 # -- batching helpers ---------------------------------------------------------------

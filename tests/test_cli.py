@@ -141,6 +141,26 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "corrupt manifest" in err and problem in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("window", "x"), ("n_classes", 0), ("heads", True), ("fc_hidden", 2.5),
+        ("dropout", 1.0), ("width_scale", 0), ("width_scale", float("inf")),
+        ("pos_encoding", 1),
+    ], ids=["str-window", "zero-classes", "bool-heads", "float-fc-hidden",
+            "dropout-one", "zero-width-scale", "inf-width-scale", "int-pos-encoding"])
+    def test_invalid_model_value_is_data_error(self, capsys, tmp_path, dataset_dir,
+                                               field, value):
+        manifest = {"version": 1, "variant": "baseline",
+                    "model": {"n_classes": 2, "window": 512, field: value},
+                    "train_config": {"seed": 0}, "classes": ["c00", "c01"],
+                    "epoch": 0, "best_score": 0.0, "adam_step": 0, "index": []}
+        blob = json.dumps(manifest).encode("utf-8")
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(trainer._MAGIC + struct.pack("<Q", len(blob)) + blob)
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(dataset_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"model.{field}" in err
+
     def test_bad_config_value_is_usage_error(self, capsys, tmp_path, dataset_dir):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("lr=-1\n", encoding="utf-8")

@@ -583,3 +583,134 @@ class TestBlockedKernelsBitwise:
         got = maxpool1d(Tensor(x), kernel=kernel, stride=stride, padding=padding).data
         assert got.flags.c_contiguous
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def batchnorm_train_reference(x, gamma, beta, rm, rv, g, momentum=0.1, eps=1e-5):
+    """Training batchnorm with x.mean/x.var: output, running arrays and the
+    x/gamma/beta gradients for the seed gradient g."""
+    axes = (0, 2)
+    n = x.shape[0] * x.shape[2]
+    mu, var = x.mean(axis=axes), x.var(axis=axes)
+    rm, rv = rm.copy(), rv.copy()
+    rm *= 1.0 - momentum
+    rm += momentum * mu
+    if n > 1:
+        rv *= 1.0 - momentum
+        rv += momentum * var * (n / (n - 1.0))
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = x - mu[None, :, None]
+    xhat *= inv[None, :, None]
+    out = gamma[None, :, None] * xhat
+    out += beta[None, :, None]
+    dxhat = g * gamma[None, :, None]
+    s1 = dxhat.sum(axis=axes)
+    s2 = (dxhat * xhat).sum(axis=axes)
+    gx = dxhat - (s1[None, :, None] + xhat * s2[None, :, None]) / n
+    gx *= inv[None, :, None]
+    return out, rm, rv, gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
+def conv1d_backward_reference(x, w, g, stride, padding):
+    """conv1d's x/w/bias gradients with einsum(optimize=True) and tensordot."""
+    k = w.shape[2]
+    bsz, ci, l_in = x.shape
+    l_out = g.shape[2]
+    # With padding, conv1d's backward reads a transposed view of its
+    # channel-major padded copy; einsum's bits on a size-1 axis follow the
+    # layout, so the reference uses the same one.
+    xc = np.zeros((ci, bsz, l_in + 2 * padding), dtype=x.dtype)
+    xc[:, :, padding:padding + l_in] = x.transpose(1, 0, 2)
+    xp = xc.transpose(1, 0, 2) if padding else x
+    if k == 1:
+        xs = xp[:, :, ::stride][:, :, :l_out]
+        gw = np.einsum("bol,bcl->oc", g, xs, optimize=True)[:, :, None]
+    else:
+        win = T._window_view(xp, k, stride, l_out)
+        gw = np.tensordot(g, win, axes=([0, 2], [0, 3]))
+    gxp = np.zeros_like(xp)
+    dwin = np.tensordot(w, g, axes=([0], [1])).transpose(2, 0, 1, 3)
+    for kk in range(k):
+        gxp[:, :, kk:kk + stride * l_out:stride] += dwin[:, :, kk, :]
+    return gxp[:, :, padding:padding + l_in], gw, g.sum(axis=(0, 2))
+
+
+class TestTrainStepBitwise:
+    """The training step's batchnorm statistics, conv1d backward and
+    first-gradient hand-over give the same bits as the formulas they
+    replaced."""
+
+    # B = 1, C = 1, L = 1, and several channels over longer rows
+    @pytest.mark.parametrize("shape", [(1, 4, 30), (5, 1, 30), (6, 3, 1), (16, 48, 160)])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_batchnorm_train(self, shape, precision):
+        engine.set_precision(precision)
+        rng = np.random.default_rng(24)
+        dt = engine.dtype()
+        c = shape[1]
+        x = (rng.standard_normal(shape) * 2 + 1).astype(dt)
+        gamma = (rng.random(c) + 0.5).astype(dt)
+        beta = rng.standard_normal(c).astype(dt)
+        rm = rng.standard_normal(c).astype(dt)
+        rv = (rng.random(c) + 0.1).astype(dt)
+        g = rng.standard_normal(shape).astype(dt)
+        want = batchnorm_train_reference(x, gamma, beta, rm, rv, g)
+        xt = Tensor(x, requires_grad=True)
+        gt, bt = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
+        out = batchnorm1d(xt, gt, bt, rm, rv, training=True)
+        out.backward(g)
+        got = (out.data, rm, rv, xt.grad, gt.grad, bt.grad)
+        for name, a, b in zip(("out", "running_mean", "running_var", "x", "gamma",
+                               "beta"), got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    # (B, Ci, Co, L); L None means the longest length that leaves L_out = 1,
+    # or 1 where the padding is wider than the kernel. At stride 2,
+    # (8, 1, 7, 66) and (8, 48, 1, None) are shapes where the k = 1 weight
+    # gradient's einsum and a plain matmul differ in the last bit.
+    @pytest.mark.parametrize("bsz,ci,co,length", [
+        (3, 4, 5, 33), (1, 4, 5, 33), (3, 1, 5, 33), (3, 4, 1, 33), (3, 4, 5, None),
+        (8, 1, 7, 66), (8, 48, 1, None), (8, 24, 48, 160)])
+    @pytest.mark.parametrize("k", [1, 3, 7, 9])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_conv1d_backward(self, bsz, ci, co, length, k, stride, padded):
+        padding = max(1, k // 2) if padded else 0
+        if length is None:
+            length = max(1, k - 2 * padding + stride - 1)
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal((bsz, ci, length)).astype(np.float32)
+        w = rng.standard_normal((co, ci, k)).astype(np.float32)
+        b = rng.standard_normal(co).astype(np.float32)
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = conv1d(xt, wt, bt, stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        out.backward(g)
+        want = conv1d_backward_reference(x, w, g, stride, padding)
+        for name, got, ref in zip("xwb", (xt.grad, wt.grad, bt.grad), want):
+            assert got.shape == ref.shape and got.tobytes() == np.ascontiguousarray(
+                ref).tobytes(), name
+
+    def test_fresh_gradients_sum_and_leave_upstream_alone(self):
+        # x feeds conv1d and swish, which both hand over a fresh x gradient
+        rng = np.random.default_rng(26)
+        x = rng.standard_normal((2, 3, 16)).astype(np.float32)
+        w = rng.standard_normal((3, 3, 3)).astype(np.float32)
+        r1 = rng.standard_normal((2, 3, 16)).astype(np.float32)
+        r2 = rng.standard_normal((2, 3, 16)).astype(np.float32)
+
+        def branch_grads(op, r):
+            xt = Tensor(x, requires_grad=True)
+            op(xt).backward(r)
+            return xt.grad
+
+        def conv(t):
+            return conv1d(t, Tensor(w), padding=1)
+
+        want = branch_grads(conv, r1) + branch_grads(swish, r2)
+        xt = Tensor(x, requires_grad=True)
+        y1, y2 = conv(xt), swish(xt)
+        loss = tensor_sum(T.mul(y1, r1)) + tensor_sum(T.mul(y2, r2))
+        loss.backward()
+        assert xt.grad.tobytes() == want.tobytes()
+        assert y1.grad.tobytes() == r1.tobytes()
+        assert y2.grad.tobytes() == r2.tobytes()

@@ -10,7 +10,7 @@ import pytest
 from scatternet import engine, trainer
 from scatternet.engine import ConfigError, DataError, NumericalAbort, ShapeError
 from scatternet.loss import identity_weight_matrix
-from scatternet.model import ModelConfig, build_model
+from scatternet.model import ModelConfig, build_model, tiny_config
 from scatternet.pipeline import make_synthetic_dataset, synthetic_weight_matrix
 from scatternet.tensor import Tensor
 from scatternet.trainer import (Adam, Checkpoint, TrainConfig, adam_step,
@@ -139,6 +139,105 @@ class TestAdamWrapper:
         for name, m, v in opt.moments():
             assert not m.any() and not v.any()
             assert name in ("a", "b")
+
+
+class TestAdamArena:
+    """Adam over a model's parameter arena moves every bit as ``adam_step``
+    run on per-parameter copies does."""
+
+    @staticmethod
+    def _setup():
+        model = build_model(tiny_config(4), "scatter")
+        named = model.named_parameters()
+        return model, named, Adam(named)
+
+    @staticmethod
+    def _grads(named, rng):
+        return [rng.standard_normal(p.shape).astype(p.data.dtype) for _, p in named]
+
+    @staticmethod
+    def _assert_same(named, opt, ref_params, ref_state):
+        for (_, p), (_, m, v), rp, rm, rv in zip(named, opt.moments(), ref_params,
+                                                 ref_state["m"], ref_state["v"]):
+            assert p.data.tobytes() == rp.tobytes()
+            assert m.tobytes() == rm.tobytes()
+            assert v.tobytes() == rv.tobytes()
+        assert opt.step_count == ref_state["t"]
+
+    @staticmethod
+    def _assert_one_arena(named):
+        arena = named[0][1].data.base
+        assert arena is not None and arena.size == sum(p.size for _, p in named)
+        assert all(p.data.base is arena for _, p in named)
+
+    def test_model_parameters_share_one_array(self):
+        _, named, _ = self._setup()
+        self._assert_one_arena(named)
+
+    def test_steps_match_per_parameter_adam(self):
+        _, named, opt = self._setup()
+        ref_params = [p.data.copy() for _, p in named]
+        ref_state: dict = {}
+        rng = np.random.default_rng(21)
+        for lr in (3e-3, 3e-3, 1e-3, 3e-4):
+            grads = self._grads(named, rng)
+            for (_, p), g in zip(named, grads):
+                p.grad = g
+            opt.step(lr)
+            adam_step(ref_params, grads, ref_state, lr)
+        self._assert_same(named, opt, ref_params, ref_state)
+
+    def test_missing_grad_in_the_middle(self):
+        _, named, opt = self._setup()
+        ref_params = [p.data.copy() for _, p in named]
+        ref_state: dict = {}
+        rng = np.random.default_rng(22)
+        mid = len(named) // 2
+        for step in range(3):
+            grads = self._grads(named, rng)
+            if step:
+                grads[mid] = None
+            for (_, p), g in zip(named, grads):
+                p.grad = g
+            before = (named[mid][1].data.copy(), opt.moments()[mid][1].copy(),
+                      opt.moments()[mid][2].copy())
+            opt.step(3e-3)
+            adam_step(ref_params, grads, ref_state, 3e-3)
+        _, m, v = opt.moments()[mid]
+        assert named[mid][1].data.tobytes() == before[0].tobytes()
+        assert m.tobytes() == before[1].tobytes() and v.tobytes() == before[2].tobytes()
+        self._assert_same(named, opt, ref_params, ref_state)
+
+    def test_step_after_restore_reaches_the_model(self):
+        model, named, opt = self._setup()
+        rng = np.random.default_rng(23)
+        for _, p in named:
+            p.grad = rng.standard_normal(p.shape).astype(p.data.dtype)
+        opt.step(3e-3)
+        ckpt = Checkpoint.from_state(
+            "scatter", model.config, TrainConfig(), ("a", "b", "c", "d"), epoch=0,
+            best_score=0.0, params=[(n, p.data.copy()) for n, p in named],
+            buffers=model.named_buffers(),
+            moments=[(n, m.copy(), v.copy()) for n, m, v in opt.moments()],
+            adam_t=opt.step_count)
+        fresh = build_model(model.config, "scatter")
+        fresh_named = fresh.named_parameters()
+        fresh_opt = Adam(fresh_named)
+        ckpt.restore_into(fresh, fresh_opt)
+        # restore writes into the arena: still one array behind the tensors
+        self._assert_one_arena(fresh_named)
+        ref_params = [p.data.copy() for _, p in fresh_named]
+        ref_state = {"m": [m.copy() for _, m, _ in fresh_opt.moments()],
+                     "v": [v.copy() for _, _, v in fresh_opt.moments()],
+                     "t": fresh_opt.step_count}
+        grads = self._grads(fresh_named, rng)
+        for (_, p), g in zip(fresh_named, grads):
+            p.grad = g
+        fresh_opt.step(3e-3)
+        adam_step(ref_params, grads, ref_state, 3e-3)
+        assert all(not np.array_equal(p.data, ckpt.arrays["param:" + n])
+                   for n, p in fresh_named)
+        self._assert_same(fresh_named, fresh_opt, ref_params, ref_state)
 
 
 def drive(state, losses):
@@ -423,6 +522,23 @@ class TestCheckpoint:
             Checkpoint(manifest=ckpt.manifest, arrays=arrays).save(path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_duplicate_index_entry_rejected(self, tmp_path):
+        # a second param:w would replace the first on load, and save would
+        # then write it twice
+        manifest = {"version": 1, "variant": "baseline", "model": {},
+                    "train_config": {"seed": 0}, "classes": [], "epoch": 0,
+                    "best_score": 0.0, "adam_step": 0,
+                    "index": [{"kind": "param", "name": "w", "shape": [1], "offset": 0},
+                              {"kind": "param", "name": "w", "shape": [1], "offset": 4}]}
+        path = tmp_path / "dup.ckpt"
+        self._write(path, manifest, np.array([1.0, 2.0], dtype="<f4").tobytes())
+        with pytest.raises(DataError, match="param:w"):
+            Checkpoint.load(path)
+
+    def test_model_value_rules_cover_model_config(self):
+        import dataclasses
+        assert set(trainer._MODEL_VALUES) == {f.name for f in dataclasses.fields(ModelConfig)}
 
 
 class TestEvaluate:
