@@ -538,26 +538,30 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     # Backward holds x itself, or with padding its padded copy, as a view of xc.
     xp = xc.transpose(1, 0, 2) if padding else x.data
 
-    # The output is built as (Co, B, L_out) in blocks of at most
-    # _BLOCK_BYTES: a range of output channels, or, when one channel's
+    # The output is accumulated in blocks of at most _BLOCK_BYTES, laid out
+    # (Co, B, L_out): a range of output channels, or, when one channel's
     # plane is larger, a range of batch rows of one channel. Each block takes
-    # its (ci, k) taps in order, so every output element still sums its
-    # products from 0 in the order a plain nested loop would, and the bias
-    # comes last, in the one pass that transposes to (B, Co, L_out).
-    # BLAS-backed contractions would reassociate the sum and drift in the
-    # last bit; blocking only keeps the per-tap multiply and add in cache.
-    out = np.zeros((co, bsz, l_out), dtype=xc.dtype)
-    row_bytes = l_out * out.itemsize
+    # its (ci, k) taps in order from 0, so every output element still sums
+    # its products in the order a plain nested loop would, and the bias comes
+    # last, as the finished block is written transposed into its slice of
+    # the (B, Co, L_out) result. BLAS-backed contractions would reassociate
+    # the sum and drift in the last bit; blocking only keeps the per-tap
+    # multiply and add in cache.
+    row_bytes = l_out * xc.itemsize
     if bsz * row_bytes <= _BLOCK_BYTES:
         c_step, b_step = min(co, _BLOCK_BYTES // (bsz * row_bytes)), bsz
     else:
         c_step, b_step = 1, max(1, _BLOCK_BYTES // row_bytes)
-    scratch = np.empty((c_step, b_step, l_out), dtype=np.result_type(xc.dtype, w.data.dtype))
+    data = np.empty((bsz, co, l_out), dtype=xc.dtype if bias is None
+                    else np.promote_types(xc.dtype, bias.data.dtype))
+    acc = np.empty((c_step, b_step, l_out), dtype=xc.dtype)
+    scratch = np.empty(acc.shape, dtype=np.result_type(xc.dtype, w.data.dtype))
     for c0 in range(0, co, c_step):
         c1 = min(c0 + c_step, co)
         for b0 in range(0, bsz, b_step):
             b1 = min(b0 + b_step, bsz)
-            block = out[c0:c1, b0:b1]
+            block = acc[:c1 - c0, :b1 - b0]
+            block.fill(0)
             prod = scratch[:c1 - c0, :b1 - b0]
             for c_in in range(ci):
                 for kk in range(k):
@@ -565,10 +569,11 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
                     run = phases[kk % stride][c_in, b0:b1, off:off + l_out]
                     np.multiply(w.data[c0:c1, c_in, kk, None, None], run, out=prod)
                     block += prod
-    if bias is None:
-        data = np.ascontiguousarray(out.transpose(1, 0, 2))
-    else:
-        data = np.add(out.transpose(1, 0, 2), bias.data[None, :, None], order="C")
+            dst = data[b0:b1, c0:c1]
+            if bias is None:
+                dst[...] = block.transpose(1, 0, 2)
+            else:
+                np.add(block.transpose(1, 0, 2), bias.data[c0:c1, None], out=dst)
 
     parents = (x, w) if bias is None else (x, w, bias)
 

@@ -18,7 +18,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -452,7 +452,11 @@ class Checkpoint:
             key = cls._key(entry["kind"], entry["name"])
             if key in arrays:
                 raise DataError(f"{path}: index lists {key} twice")
-            arrays[key] = np.frombuffer(payload[begin:end], dtype="<f4").reshape(shape)
+            try:
+                arrays[key] = np.frombuffer(payload[begin:end], dtype="<f4").reshape(shape)
+            except ValueError as exc:  # an empty shape numpy cannot hold
+                raise DataError(f"{path}: array {entry['name']} has shape "
+                                f"{list(shape)}: {exc}") from exc
         if end != len(payload):
             raise DataError(f"{path}: {len(payload) - end} bytes after the last array")
         return cls(manifest=manifest, arrays=arrays)
@@ -466,35 +470,44 @@ class Checkpoint:
         return model
 
     def restore_into(self, model: Model, adam: "Adam | None" = None) -> None:
-        dt = engine.dtype()
-        for name, p in model.named_parameters():
-            key = self._key("param", name)
-            if key not in self.arrays:
-                raise DataError(f"checkpoint lacks parameter {name}")
-            if tuple(p.data.shape) != self.arrays[key].shape:
-                raise DataError(f"checkpoint parameter {name} has shape "
-                                f"{self.arrays[key].shape}, model wants {p.data.shape}")
-            # written in place: a model's parameters are views of its arena
-            p.data[...] = self.arrays[key]
-        for name, buf in model.named_buffers():
-            key = self._key("buffer", name)
-            if key not in self.arrays:
-                raise DataError(f"checkpoint lacks buffer {name}")
-            buf[...] = self.arrays[key].astype(dt)
+        """Copy the checkpoint's parameters and buffers into ``model``, and
+        its Adam moments and step into ``adam`` when given.
+
+        Every array is checked for presence and shape before the first
+        write, so a checkpoint that does not fit raises ``DataError`` and
+        leaves the model and the moments as they were.
+        """
+        targets = [("param", n, p.data) for n, p in model.named_parameters()]
+        targets += [("buffer", n, b) for n, b in model.named_buffers()]
         if adam is not None:
-            for name, m, v in adam.moments():
-                m[...] = self.arrays[self._key("adam_m", name)]
-                v[...] = self.arrays[self._key("adam_v", name)]
-            adam.step_count = int(self.manifest["adam_step"])
+            step = self.manifest.get("adam_step")
+            if not _is_count(step):
+                raise DataError(f"checkpoint adam_step must be an integer >= 0, "
+                                f"got {step!r}")
+            for n, m, v in adam.moments():
+                targets += [("adam_m", n, m), ("adam_v", n, v)]
+        for kind, name, dst in targets:
+            key = self._key(kind, name)
+            if key not in self.arrays:
+                raise DataError(f"checkpoint lacks {key}")
+            if self.arrays[key].shape != dst.shape:
+                raise DataError(f"checkpoint {key} has shape {self.arrays[key].shape}, "
+                                f"model wants {dst.shape}")
+        for kind, name, dst in targets:
+            # written in place: parameters and moments are views of their arenas
+            dst[...] = self.arrays[self._key(kind, name)]
+        if adam is not None:
+            adam.step_count = step
 
 
 # -- batching helpers ---------------------------------------------------------------
 
 
 def _stack_windows(windows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x = np.stack([w.data for w in windows]).astype(engine.dtype())
-    aux = np.stack([w.aux for w in windows]).astype(engine.dtype())
-    t = np.stack([w.target for w in windows]).astype(engine.dtype())
+    dt = engine.dtype()
+    x = np.stack([w.data for w in windows], dtype=dt)
+    aux = np.stack([w.aux for w in windows], dtype=dt)
+    t = np.stack([w.target for w in windows], dtype=dt)
     return x, aux, t
 
 
@@ -506,16 +519,19 @@ def _forward_probs(model: Model, x: np.ndarray, aux: np.ndarray,
 
 def _eval_windows(model: Model, windows, batch_size: int
                   ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Deterministic eval-mode pass; returns (probs, truth, window ids)."""
+    """Deterministic eval-mode pass over an iterable of windows, taken one
+    batch at a time; returns (probs, truth, window ids)."""
     probs, truth, ids = [], [], []
+    windows = iter(windows)
     with engine.no_grad():
-        for i in range(0, len(windows), batch_size):
-            chunk = windows[i:i + batch_size]
+        while chunk := list(islice(windows, batch_size)):
             x, aux, t = _stack_windows(chunk)
+            ids.extend(w.record_id for w in chunk)
+            # the windows are a second copy of x that nothing reads from here on
+            del chunk
             p = _forward_probs(model, x, aux, "eval")
             probs.append(p.data.copy())
             truth.append(t)
-            ids.extend(w.record_id for w in chunk)
     return np.concatenate(probs), np.concatenate(truth), ids
 
 
@@ -527,9 +543,10 @@ def evaluate_model(model: Model, records: list[Record], wm: WeightMatrix,
     if merged.k != model.config.n_classes:
         raise DataError(f"model has {model.config.n_classes} classes, weight "
                         f"matrix merges to {merged.k}")
-    pieces = prepare_pieces(records)
-    windows = [make_window(p, table, merged.k, out_len=model.config.window)
-               for p in pieces]
+    # made record by record as batches draw on them, so memory holds one
+    # batch of windows, not the whole set
+    windows = (make_window(p, table, merged.k, out_len=model.config.window)
+               for rec in records for p in prepare_pieces([rec]))
     probs, truth, ids = _eval_windows(model, windows, batch_size)
     pred = predict(probs, threshold)
     tp = ((pred > 0.5) & (truth > 0.5)).sum(axis=0).astype(np.float64)
@@ -553,11 +570,24 @@ def evaluate_model(model: Model, records: list[Record], wm: WeightMatrix,
 # -- training loop ----------------------------------------------------------------------
 
 
+def _flat_copy(named: list[tuple[str, np.ndarray]]) -> list[tuple[str, np.ndarray]]:
+    """Copies of the named arrays made as one flat copy, of which each is a view."""
+    flat = np.concatenate([a.ravel() for _, a in named])
+    views, lo = [], 0
+    for name, a in named:
+        views.append((name, flat[lo:lo + a.size].reshape(a.shape)))
+        lo += a.size
+    return views
+
+
 def _snapshot(model: Model, adam: Adam) -> dict:
+    moments = adam.moments()
+    m = _flat_copy([(n, m) for n, m, _ in moments])
+    v = _flat_copy([(n, v) for n, _, v in moments])
     return {
-        "params": [(n, p.data.copy()) for n, p in model.named_parameters()],
-        "buffers": [(n, b.copy()) for n, b in model.named_buffers()],
-        "moments": [(n, m.copy(), v.copy()) for n, m, v in adam.moments()],
+        "params": _flat_copy([(n, p.data) for n, p in model.named_parameters()]),
+        "buffers": _flat_copy(model.named_buffers()),
+        "moments": [(n, mn, vn) for (n, mn), (_, vn) in zip(m, v)],
         "adam_t": adam.step_count,
     }
 

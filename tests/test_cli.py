@@ -161,6 +161,22 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"model.{field}" in err
 
+    def test_misshapen_buffer_is_data_error(self, capsys, tmp_path, dataset_dir):
+        mcfg = ModelConfig(n_leads=12, n_classes=2, window=512, heads=2,
+                           width_scale=0.25, fc_hidden=8, dropout=0.0)
+        model = build_model(mcfg, "baseline")
+        buffers = [(n, np.zeros(5) if n == "stem_bn.running_mean" else b)
+                   for n, b in model.named_buffers()]
+        ckpt = tmp_path / "buffer.ckpt"
+        Checkpoint.from_state(
+            "baseline", mcfg, trainer.TrainConfig(), ("c00", "c01"), epoch=0,
+            best_score=0.0, params=[(n, p.data) for n, p in model.named_parameters()],
+            buffers=buffers, moments=[], adam_t=0).save(ckpt)
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(dataset_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "buffer:stem_bn.running_mean" in err
+
     def test_bad_config_value_is_usage_error(self, capsys, tmp_path, dataset_dir):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("lr=-1\n", encoding="utf-8")

@@ -1,6 +1,8 @@
 """Autodiff core: forward values against hand oracles, gradients against
 central differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -714,3 +716,65 @@ class TestTrainStepBitwise:
         assert xt.grad.tobytes() == want.tobytes()
         assert y1.grad.tobytes() == r1.tobytes()
         assert y2.grad.tobytes() == r2.tobytes()
+
+
+def conv1d_channel_major(x, w, b, stride, padding):
+    """The forward built whole as (Co, B, L_out): taps in (ci, k) order from
+    zero, then one transposing pass that adds the bias."""
+    bsz, cin, length = x.shape
+    cout, _, k = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding))).transpose(1, 0, 2)
+    lout = (length + 2 * padding - k) // stride + 1
+    end = (lout - 1) * stride + 1
+    out = np.zeros((cout, bsz, lout), dtype=x.dtype)
+    for ci in range(cin):
+        for kk in range(k):
+            out += w[:, ci, kk, None, None] * xp[ci, None, :, kk:kk + end:stride]
+    if b is None:
+        return np.ascontiguousarray(out.transpose(1, 0, 2))
+    return np.add(out.transpose(1, 0, 2), b[None, :, None], order="C")
+
+
+class TestConv1dOutputWrite:
+    """conv1d writes each finished block straight into its (B, Co, L_out)
+    result."""
+
+    # (B, Ci, Co, K, L, stride, padding, block bytes): several channel
+    # blocks with a short last one; batch-row blocks of one channel with a
+    # short last one; the module's block size over channel blocks.
+    @pytest.mark.parametrize("shape", [(3, 2, 12, 3, 101, 1, 1, 6000),
+                                       (7, 3, 4, 5, 1003, 2, 2, 6000),
+                                       (4, 2, 20, 1, 4096, 1, 0, None)])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_float32_bytes(self, monkeypatch, shape, with_bias):
+        bsz, cin, cout, k, length, stride, pad, block_bytes = shape
+        if block_bytes is not None:
+            monkeypatch.setattr(T, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(27)
+        x = rng.standard_normal((bsz, cin, length)).astype(np.float32)
+        w = rng.standard_normal((cout, cin, k)).astype(np.float32)
+        b = rng.standard_normal(cout).astype(np.float32) if with_bias else None
+        got = conv1d(Tensor(x), Tensor(w), None if b is None else Tensor(b),
+                     stride=stride, padding=pad).data
+        want = conv1d_channel_major(x, w, b, stride, pad)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_no_second_output_sized_array(self):
+        rng = np.random.default_rng(28)
+        x = Tensor(rng.standard_normal((8, 16, 4096)).astype(np.float32))
+        w = Tensor(rng.standard_normal((64, 16, 3)).astype(np.float32))
+        padded = x.data.nbytes + 8 * 16 * 2 * 4
+        out_bytes = 8 * 64 * 4096 * 4
+        # the accumulator and the product scratch are a block each; the slack
+        # covers numpy's 8192-element copy buffer and the loop's Python objects
+        bound = padded + out_bytes + 2 * T._BLOCK_BYTES + 64 * 1024
+        with engine.no_grad():
+            tracemalloc.start()
+            try:
+                out = conv1d(x, w, padding=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert out.data.nbytes == out_bytes
+        assert peak < bound, (peak, bound)

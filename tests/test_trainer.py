@@ -1,17 +1,22 @@
 """Optimizer, plateau schedule, checkpoint format, evaluation, and the
 training loop."""
 
+import dataclasses
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from scatternet import engine, trainer
+from scatternet import tensor as T
 from scatternet.engine import ConfigError, DataError, NumericalAbort, ShapeError
-from scatternet.loss import identity_weight_matrix
+from scatternet.loss import (discrete_challenge_score, identity_weight_matrix,
+                             merged_class_table, predict)
 from scatternet.model import ModelConfig, build_model, tiny_config
-from scatternet.pipeline import make_synthetic_dataset, synthetic_weight_matrix
+from scatternet.pipeline import (make_synthetic_dataset, make_window, prepare_pieces,
+                                 synthetic_weight_matrix)
 from scatternet.tensor import Tensor
 from scatternet.trainer import (Adam, Checkpoint, TrainConfig, adam_step,
                                 config_from_mapping, evaluate_model,
@@ -576,6 +581,170 @@ class TestEvaluate:
         assert res["score"] == 0.0
         assert res["precision"].shape == (2,)
         assert (res["precision"] == 0.0).all() and (res["recall"] == 0.0).all()
+
+
+class TestRestoreAllOrNothing:
+    """A checkpoint that does not fit raises DataError before any write."""
+
+    @staticmethod
+    def _state(model, opt):
+        return (b"".join(p.data.tobytes() for _, p in model.named_parameters()),
+                b"".join(b.tobytes() for _, b in model.named_buffers()),
+                b"".join(m.tobytes() + v.tobytes() for _, m, v in opt.moments()),
+                opt.step_count)
+
+    @staticmethod
+    def _target():
+        mcfg, model, opt = small_model_state()
+        return mcfg, model, opt, TestRestoreAllOrNothing._state(model, opt)
+
+    def _assert_refused(self, ckpt, match):
+        _, model, opt, before = self._target()
+        with pytest.raises(DataError, match=match):
+            ckpt.restore_into(model, opt)
+        assert self._state(model, opt) == before
+
+    def _checkpoint(self):
+        engine.seed(1)  # other values than the target's
+        mcfg, model, opt = small_model_state()
+        opt.step(1e-3)
+        return checkpoint_of(mcfg, model, opt)
+
+    def test_buffer_shape_checked_before_writing(self):
+        ckpt = self._checkpoint()
+        ckpt.arrays["buffer:stem_bn.running_mean"] = np.zeros(5, dtype="<f4")
+        self._assert_refused(ckpt, "buffer:stem_bn.running_mean")
+
+    def test_last_parameter_checked_before_writing(self):
+        ckpt = self._checkpoint()
+        ckpt.arrays["param:fc2.b"] = np.zeros(3, dtype="<f4")
+        self._assert_refused(ckpt, "param:fc2.b")
+
+    @pytest.mark.parametrize("key", ["adam_m:fc2.b", "adam_v:stem.w"])
+    def test_moment_shape_checked_before_writing(self, key):
+        ckpt = self._checkpoint()
+        ckpt.arrays[key] = np.zeros(1, dtype="<f4")
+        self._assert_refused(ckpt, key)
+
+    def test_missing_moment_checked_before_writing(self):
+        ckpt = self._checkpoint()
+        del ckpt.arrays["adam_v:fc2.w"]
+        self._assert_refused(ckpt, "lacks adam_v:fc2.w")
+
+    @pytest.mark.parametrize("step", [None, -1, 2.5, "3"])
+    def test_adam_step_checked_before_writing(self, step):
+        ckpt = self._checkpoint()
+        ckpt.manifest["adam_step"] = step
+        self._assert_refused(ckpt, "adam_step")
+
+    def test_without_adam_moments_are_not_needed(self):
+        ckpt = self._checkpoint()
+        for key in [k for k in ckpt.arrays if k.startswith("adam_")]:
+            del ckpt.arrays[key]
+        _, model, _, _ = self._target()
+        ckpt.restore_into(model)
+        for name, p in model.named_parameters():
+            assert p.data.tobytes() == ckpt.arrays[f"param:{name}"].tobytes()
+
+
+class TestSnapshot:
+    def test_one_copy_per_kind_with_the_state_bytes(self):
+        _, model, opt = small_model_state()
+        snap = trainer._snapshot(model, opt)
+        for key, named in (("params", [(n, p.data) for n, p in model.named_parameters()]),
+                           ("buffers", model.named_buffers())):
+            assert [n for n, _ in snap[key]] == [n for n, _ in named]
+            copies, live = [a for _, a in snap[key]], [a for _, a in named]
+            assert copies[0].base is not None
+            assert all(a.base is copies[0].base for a in copies)
+            assert all(not np.shares_memory(a, b) for a, b in zip(copies, live))
+            assert [a.tobytes() for a in copies] == [b.tobytes() for b in live]
+        for (n1, m1, v1), (n2, m2, v2) in zip(snap["moments"], opt.moments()):
+            assert n1 == n2 and m1.tobytes() == m2.tobytes() and v1.tobytes() == v2.tobytes()
+        assert snap["adam_t"] == opt.step_count
+        # a later step leaves the snapshot as it was
+        kept = [a.tobytes() for _, a in snap["params"]]
+        for _, p in model.named_parameters():
+            p.grad = np.ones_like(p.data)
+        opt.step(1e-2)
+        assert [a.tobytes() for _, a in snap["params"]] == kept
+
+
+def _eval_model(window=512):
+    mcfg = ModelConfig(n_leads=12, n_classes=2, window=window, heads=2,
+                       width_scale=0.25, fc_hidden=8, dropout=0.0)
+    return build_model(mcfg, "baseline")
+
+
+def _mixed_records(n, seed):
+    """Records shorter than a piece, of one piece, of three pieces (the last
+    overlapping), and at 250 Hz, in turn."""
+    out = []
+    for i, rec in enumerate(make_synthetic_dataset(n, 2, np.random.default_rng(seed))):
+        sig = rec.signal
+        kind = i % 4
+        if kind == 0:
+            sig = sig[:, :3000]
+        elif kind == 2:
+            sig = np.tile(sig, 3)[:, :25000]
+        out.append(dataclasses.replace(rec, signal=sig[:, ::2] if kind == 3 else sig,
+                                       fs=250.0 if kind == 3 else rec.fs))
+    return out
+
+
+def evaluate_all_windows_first(model, records, wm, batch_size):
+    """Reference pass that builds every window before the first batch."""
+    merged, table = merged_class_table(wm)
+    windows = [make_window(p, table, merged.k, out_len=model.config.window)
+               for p in prepare_pieces(records)]
+    probs, truth = [], []
+    with engine.no_grad():
+        for i in range(0, len(windows), batch_size):
+            chunk = windows[i:i + batch_size]
+            x, aux, t = (np.stack([getattr(w, f) for w in chunk]).astype(engine.dtype())
+                         for f in ("data", "aux", "target"))
+            probs.append(T.sigmoid(model.forward(Tensor(x), Tensor(aux), "eval")).data)
+            truth.append(t)
+    probs, truth = np.concatenate(probs), np.concatenate(truth)
+    score = discrete_challenge_score(truth, predict(probs, 0.5), merged)
+    return probs, truth, [w.record_id for w in windows], score
+
+
+class TestStreamingEval:
+    @pytest.mark.parametrize("batch", [lambda n: 1, lambda n: 3, lambda n: 4,
+                                       lambda n: n, lambda n: n + 5],
+                             ids=["1", "3", "4", "n", "n+5"])
+    def test_bytes_equal_building_every_window_first(self, batch):
+        model = _eval_model()
+        recs = _mixed_records(8, 11)
+        wm = synthetic_weight_matrix(2)
+        n = len(prepare_pieces(recs))
+        assert n > 8  # some records give several windows
+        batch_size = batch(n)
+        probs, truth, ids, score = evaluate_all_windows_first(model, recs, wm, batch_size)
+        got = evaluate_model(model, recs, wm, batch_size=batch_size)
+        assert got["probs"].dtype == probs.dtype and got["probs"].tobytes() == probs.tobytes()
+        assert got["truth"].dtype == truth.dtype and got["truth"].tobytes() == truth.tobytes()
+        assert got["ids"] == ids
+        assert got["score"] == score
+
+    def test_traced_peak_does_not_grow_with_the_record_count(self):
+        # full-length windows, so that holding every window (or every
+        # piece) shows next to one batch's forward pass
+        model = _eval_model(window=5120)
+        wm = synthetic_weight_matrix(2)
+        evaluate_model(model, make_synthetic_dataset(1, 2, np.random.default_rng(0)), wm)
+
+        def peak(n):
+            recs = make_synthetic_dataset(n, 2, np.random.default_rng(n))
+            tracemalloc.start()
+            try:
+                evaluate_model(model, recs, wm, batch_size=4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(32) < 1.5 * peak(8)
 
 
 class TestTrainLoop:
