@@ -111,6 +111,8 @@ def read_prediction_csv(path) -> tuple[list[str], list[str], np.ndarray]:
             rows = [r for r in csv.reader(fh) if r]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: {exc}") from exc
     if len(rows) < 2:
         raise DataError(f"{path}: no data rows")
     header = rows[0]

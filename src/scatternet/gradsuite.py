@@ -86,6 +86,26 @@ def run_op_checks(verbose: bool = False) -> float:
         cases.append(("scatter", lambda *_: tensor_sum(
             T.mul(scatter_forward(xs), sel_sc)), [xs]))
 
+        gamma_c = Tensor(rng.random(4) + 0.5, requires_grad=True)
+        beta_c = _t(rng, 4, scale=0.2)
+        skip_c = _t(rng, 2, 4, 6)
+        stats_c = rng.standard_normal(4) * 0.1, rng.random(4) + 0.5
+        sel_c = Tensor(rng.standard_normal((2, 4, 6)))
+
+        def conv_bn_act_loss(training):
+            def loss(*_):
+                # fresh running arrays: training mode updates them per call
+                rm, rv = (Tensor(a.copy()) for a in stats_c)
+                out = T.conv_bn_act(xc, wc, bc, gamma_c, beta_c, rm, rv,
+                                    training=training, stride=2, padding=2,
+                                    skip=skip_c, act=True)
+                return tensor_sum(T.mul(out, sel_c))
+            return loss
+
+        for mode in ("train", "eval"):
+            cases.append((f"conv_bn_act_{mode}", conv_bn_act_loss(mode == "train"),
+                          [xc, wc, bc, gamma_c, beta_c, skip_c]))
+
         for name, fn, inputs in cases:
             err = grad_check(fn, inputs, max_samples=48, seed=11)
             worst = max(worst, err)

@@ -60,6 +60,8 @@ def load_weight_matrix(path) -> WeightMatrix:
             rows = [r for r in csv.reader(fh) if r]
     except OSError as exc:
         raise DataError(f"cannot read weight matrix {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"weight matrix {path}: {exc}") from exc
     if len(rows) < 2:
         raise DataError(f"weight matrix {path} has no data rows")
     header = rows[0]

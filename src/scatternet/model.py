@@ -151,9 +151,14 @@ class Conv1d(Module):
                                                       c_in * kernel))
         self.b = self._register("b", Tensor(np.zeros(c_out), requires_grad=True))
 
-    def forward(self, x: Tensor, mode: str) -> Tensor:
-        del mode
-        return T.conv1d(x, self.w, self.b, stride=self.stride, padding=self.padding)
+    def forward(self, x: Tensor, mode: str, bn: BatchNorm1d, skip: Tensor | None = None,
+                act: bool = True) -> Tensor:
+        """This conv, then ``bn``, then ``skip +``, then swish when ``act``, as
+        one T.conv_bn_act node."""
+        return T.conv_bn_act(x, self.w, self.b, bn.gamma, bn.beta, bn.running_mean,
+                             bn.running_var, training=(mode == "train"),
+                             stride=self.stride, padding=self.padding, skip=skip,
+                             act=act, momentum=bn.momentum, eps=bn.eps)
 
 
 class BatchNorm1d(Module):
@@ -202,17 +207,17 @@ class BottleneckBlock(Module):
             self.proj = self._add_child("proj", Conv1d(c_in, c_out, 1, stride=stride))
             self.proj_bn = self._add_child("proj_bn", BatchNorm1d(c_out))
 
-    def residual_sum(self, x: Tensor, mode: str) -> Tensor:
-        h = T.swish(self.bn1.forward(self.conv1.forward(x, mode), mode))
-        h = T.swish(self.bn2.forward(self.conv2.forward(h, mode), mode))
-        h = self.bn3.forward(self.conv3.forward(h, mode), mode)
+    def residual_sum(self, x: Tensor, mode: str, act: bool = False) -> Tensor:
+        """skip + bn3(conv3(...)); with ``act``, the block's output."""
+        h = self.conv1.forward(x, mode, self.bn1)
+        h = self.conv2.forward(h, mode, self.bn2)
         skip = x
         if self.proj is not None:
-            skip = self.proj_bn.forward(self.proj.forward(x, mode), mode)
-        return T.add(skip, h)
+            skip = self.proj.forward(x, mode, self.proj_bn, act=False)
+        return self.conv3.forward(h, mode, self.bn3, skip=skip, act=act)
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
-        return T.swish(self.residual_sum(x, mode))
+        return self.residual_sum(x, mode, act=True)
 
 
 class ScatterBlock(Module):
@@ -238,9 +243,9 @@ class ScatterBlock(Module):
         self.skip_bn = self._add_child("skip_bn", BatchNorm1d(c_out))
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
-        h = self.bn1.forward(self.conv1.forward(x, mode), mode)
+        h = self.conv1.forward(x, mode, self.bn1, act=False)
         h = self.bn_mid.forward(scatter_forward(h), mode)
-        h = T.swish(self.bn2.forward(self.conv2.forward(h, mode), mode))
+        h = self.conv2.forward(h, mode, self.bn2)
         skip = self.skip_bn.forward(scatter_forward(x), mode)
         return T.add(h, skip)
 
@@ -370,12 +375,12 @@ class Model(Module):
         if aux.ndim != 2 or aux.shape != (x.shape[0], self.config.aux_features):
             raise ShapeError(f"aux must be (B, {self.config.aux_features})")
 
-        h = T.swish(self.stem_bn.forward(self.stem.forward(x, mode), mode))
+        h = self.stem.forward(x, mode, self.stem_bn)
         h = T.maxpool1d(h, kernel=3, stride=2, padding=1)
         for blocks in self.stages:
             for block in blocks:
                 h = block.forward(h, mode)
-        h = T.swish(self.head_bn.forward(self.head.forward(h, mode), mode))
+        h = self.head.forward(h, mode, self.head_bn)
         h = self.attention.forward(h, mode)
         h = T.adaptive_avgpool1d(h, _POOL_BINS)
         h = T.reshape(h, (h.shape[0], h.shape[1] * h.shape[2]))

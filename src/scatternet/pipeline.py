@@ -318,6 +318,50 @@ def write_dataset(path, records: list[Record], wm: WeightMatrix) -> None:
     save_weight_matrix(os.path.join(path, "classes.csv"), wm)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+# manifest field -> (check, what the check wants); age and sex may be absent
+_MANIFEST_FIELDS = {
+    "id": (lambda v: isinstance(v, str) and v.isprintable() and v not in ("", ".", "..")
+           and "/" not in v and os.sep not in v, "a printable file name"),
+    "fs": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    "n_samples": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
+                  "an integer >= 1"),
+    "leads": (lambda v: v == N_LEADS, f"{N_LEADS}"),
+    "labels": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+               "a list of strings"),
+    "age": (lambda v: v is None or _is_number(v), "a finite number or null"),
+    "sex": (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
+
+
+def _read_manifest(path: str, name: str) -> dict:
+    """A record's manifest, each field checked; DataError names the file and
+    the field."""
+    try:
+        with open(os.path.join(path, name), encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read manifest {name}: {exc}") from exc
+    except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+        raise DataError(f"bad manifest {name}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"manifest {name} is not a JSON object")
+    for key, (ok, want) in _MANIFEST_FIELDS.items():
+        if key not in manifest:
+            if key in ("age", "sex"):
+                continue
+            raise DataError(f"manifest {name} lacks field {key!r}")
+        if not ok(manifest[key]):
+            got = repr(manifest[key])
+            got = got if len(got) <= 40 else got[:37] + "..."
+            raise DataError(f"manifest {name}: field {key!r} must be {want}, got {got}")
+    return manifest
+
+
 def load_dataset(path) -> tuple[list[Record], WeightMatrix]:
     if not os.path.isdir(path):
         raise DataError(f"dataset directory {path} does not exist")
@@ -329,21 +373,12 @@ def load_dataset(path) -> tuple[list[Record], WeightMatrix]:
     for name in sorted(os.listdir(path)):
         if not name.endswith(".json"):
             continue
-        with open(os.path.join(path, name), encoding="utf-8") as fh:
-            try:
-                manifest = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"bad manifest {name}: {exc}") from exc
-        for key in ("id", "fs", "n_samples", "leads", "labels"):
-            if key not in manifest:
-                raise DataError(f"manifest {name} lacks field {key!r}")
-        if manifest["leads"] != N_LEADS:
-            raise DataError(f"record {manifest['id']}: expected {N_LEADS} leads")
+        manifest = _read_manifest(path, name)
         blob_path = os.path.join(path, f"{manifest['id']}.f32")
         if not os.path.isfile(blob_path):
             raise DataError(f"record {manifest['id']}: missing .f32 payload")
         flat = np.fromfile(blob_path, dtype="<f4")
-        n = int(manifest["n_samples"])
+        n = manifest["n_samples"]
         if flat.size != N_LEADS * n:
             raise DataError(f"record {manifest['id']}: payload has {flat.size} "
                             f"samples, expected {N_LEADS * n}")

@@ -44,7 +44,7 @@ class Tensor:
         out.grad = None
         out._parents = ()
         out._backward = None
-        out.requires_grad = engine.grad_enabled() and any(p.requires_grad for p in parents)
+        out.requires_grad = _records(parents)
         if out.requires_grad:
             out._parents = tuple(parents)
             out._backward = backward
@@ -158,6 +158,12 @@ class Tensor:
 
 def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _records(parents: Iterable[Tensor]) -> bool:
+    """Whether an op over ``parents`` records a graph node, so its backward
+    runs and what backward reads must be kept."""
+    return engine.grad_enabled() and any(p.requires_grad for p in parents)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -287,6 +293,35 @@ def _rows_per_block(a: np.ndarray) -> int:
     return max(1, _BLOCK_BYTES // max(1, a.itemsize * math.prod(a.shape[1:])))
 
 
+def _sigmoid_block(xa: np.ndarray, e: np.ndarray, p: np.ndarray, s: np.ndarray,
+                   prod: np.ndarray | None) -> None:
+    """Write sigmoid(xa) into ``s`` and, when given, xa * sigmoid(xa) into
+    ``prod``, which may be xa itself; ``e`` and the bool ``p`` are scratch of
+    xa's shape."""
+    # Branch on sign so large |x| never exponentiates to overflow: with
+    # ez = exp(-|x|), sigmoid is 1 / (1 + ez) for x >= 0 and ez / (1 + ez)
+    # otherwise, which one division over a selected numerator gives. The
+    # numerator is max([x >= 0], ez): as 0 <= ez <= 1, that is 1 where
+    # x >= 0 and ez elsewhere (NaN where x is NaN), exactly what a select
+    # picks, but without a select whose cost follows the sign pattern.
+    np.abs(xa, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.greater_equal(xa, 0, out=p)
+    np.maximum(p, e, out=s)
+    e += 1
+    np.divide(s, e, out=s)
+    if prod is not None:
+        np.multiply(xa, s, out=prod)
+
+
+def _sigmoid_scratch(shape: tuple[int, ...], dtype) -> tuple[np.ndarray, ...]:
+    """Scratch ``e``, ``p`` and ``s`` for _sigmoid_block over blocks of at
+    most ``shape``."""
+    return np.empty(shape, dtype=dtype), np.empty(shape, dtype=bool), \
+        np.empty(shape, dtype=dtype)
+
+
 def _sigmoid(a: np.ndarray, sig: np.ndarray | None, prod: np.ndarray | None) -> None:
     """Write sigmoid(a) into ``sig`` and a * sigmoid(a) into ``prod``.
 
@@ -295,36 +330,29 @@ def _sigmoid(a: np.ndarray, sig: np.ndarray | None, prod: np.ndarray | None) -> 
     axis 0 of at most _BLOCK_BYTES, with one scratch set per call, so each
     block takes every pass while it is in cache.
     """
-    # Branch on sign so large |x| never exponentiates to overflow: with
-    # ez = exp(-|x|), sigmoid is 1 / (1 + ez) for x >= 0 and ez / (1 + ez)
-    # otherwise, which one division over a selected numerator gives. The
-    # numerator is max([x >= 0], ez): as 0 <= ez <= 1, that is 1 where
-    # x >= 0 and ez elsewhere (NaN where x is NaN), exactly what a select
-    # picks, but without a select whose cost follows the sign pattern.
     a = np.atleast_1d(a)
     step = _rows_per_block(a)
-    ez = np.empty((min(step, len(a)),) + a.shape[1:], dtype=a.dtype)
-    pos = np.empty(ez.shape, dtype=bool)
-    if sig is None:
-        num = np.empty_like(ez)
-    else:
+    ez, pos, num = _sigmoid_scratch((min(step, len(a)),) + a.shape[1:], a.dtype)
+    if sig is not None:
         sig = np.atleast_1d(sig)
     if prod is not None:
         prod = np.atleast_1d(prod)
     for r0 in range(0, len(a), step):
         rows = slice(r0, r0 + step)
         xa = a[rows]
-        e, p = ez[:len(xa)], pos[:len(xa)]
-        s = num[:len(xa)] if sig is None else sig[rows]
-        np.abs(xa, out=e)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        np.greater_equal(xa, 0, out=p)
-        np.maximum(p, e, out=s)
-        e += 1
-        np.divide(s, e, out=s)
-        if prod is not None:
-            np.multiply(xa, s, out=prod[rows])
+        n = len(xa)
+        _sigmoid_block(xa, ez[:n], pos[:n], num[:n] if sig is None else sig[rows],
+                       None if prod is None else prod[rows])
+
+
+def _swish_backward(g: np.ndarray, x: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """g * (sig + x * sig * (1 - sig)) in a new array, with one temporary
+    besides it and the operands in that order."""
+    gx = np.multiply(x, sig, out=np.empty_like(sig))
+    np.multiply(gx, np.subtract(1.0, sig), out=gx)
+    np.add(sig, gx, out=gx)
+    np.multiply(g, gx, out=gx)
+    return gx
 
 
 def sigmoid(x) -> Tensor:
@@ -345,12 +373,12 @@ def swish(x) -> Tensor:
     data = np.empty_like(x.data)
     # Only backward reads the full sigmoid, so it is kept only when a graph
     # is recorded.
-    sig = np.empty_like(x.data) if engine.grad_enabled() and x.requires_grad else None
+    sig = np.empty_like(x.data) if _records((x,)) else None
     _sigmoid(x.data, sig, data)
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate_fresh(g * (sig + x.data * sig * (1.0 - sig)))
+            x._accumulate_fresh(_swish_backward(g, x.data, sig))
 
     return Tensor._result(data, (x,), backward)
 
@@ -505,15 +533,8 @@ def _check_time_op(x: Tensor, kernel: int, stride: int, padding: int, name: str)
     return l_out
 
 
-def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation over time. x (B, Ci, L), w (Co, Ci, K) -> (B, Co, L_out).
-
-    L_out = floor((L + 2*padding - K) / stride) + 1. Bias optional, shape (Co,).
-    Every output element sums its Ci*K products from 0 in (ci, k) order and
-    then adds the bias, bit for bit what a plain nested loop gives; the
-    forward runs in cache-sized blocks of a channel-major layout without
-    changing that order.
-    """
+def _conv_args(x, w, b, stride: int, padding: int):
+    """Checked (x, w, bias or None, L_out) of a conv1d call."""
     x, w = _coerce(x), _coerce(w)
     if w.data.ndim != 3:
         raise ShapeError("conv1d weight must be (Co, Ci, K)")
@@ -521,41 +542,65 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     l_out = _check_time_op(x, k, stride, padding, "conv1d")
     if x.data.shape[1] != ci:
         raise ShapeError(f"conv1d: Ci mismatch, x has {x.data.shape[1]}, w has {ci}")
-    bsz, _, l_in = x.data.shape
-
     bias = None
     if b is not None:
         bias = _coerce(b)
         if bias.data.shape != (co,):
             raise ShapeError("conv1d bias must have shape (Co,)")
+    return x, w, bias, l_out
 
-    # Channel-major padded copy (Ci, B, L + 2p). With stride 2 it is split
-    # into its even and odd samples, so tap kk reads phase kk % stride from
-    # offset kk // stride as one contiguous run per batch row.
-    xc = np.zeros((ci, bsz, l_in + 2 * padding), dtype=x.data.dtype)
-    xc[:, :, padding:padding + l_in] = x.data.transpose(1, 0, 2)
-    phases = [np.ascontiguousarray(xc[:, :, p::stride]) for p in range(min(k, stride))]
-    # Backward holds x itself, or with padding its padded copy, as a view of xc.
-    xp = xc.transpose(1, 0, 2) if padding else x.data
 
-    # The output is accumulated in blocks of at most _BLOCK_BYTES, laid out
-    # (Co, B, L_out): a range of output channels, or, when one channel's
-    # plane is larger, a range of batch rows of one channel. Each block takes
-    # its (ci, k) taps in order from 0, so every output element still sums
-    # its products in the order a plain nested loop would, and the bias comes
-    # last, as the finished block is written transposed into its slice of
-    # the (B, Co, L_out) result. BLAS-backed contractions would reassociate
-    # the sum and drift in the last bit; blocking only keeps the per-tap
-    # multiply and add in cache.
-    row_bytes = l_out * xc.itemsize
+def _conv_phases(x: np.ndarray, k: int, stride: int, padding: int) -> list[np.ndarray]:
+    """Channel-major copies (Ci, B, ...) of x zero-padded by ``padding`` on
+    each side, one per phase: phase p holds samples p, p + stride, ... of the
+    padded sequence, so tap kk reads phase kk % stride from offset
+    kk // stride as one contiguous run per batch row. Each phase is built
+    straight from x; with stride 1 the one phase is the padded copy."""
+    bsz, ci, l_in = x.shape
+    xt = x.transpose(1, 0, 2)
+    phases = []
+    for p in range(min(k, stride)):
+        phase = np.zeros((ci, bsz, len(range(p, l_in + 2 * padding, stride))),
+                         dtype=x.dtype)
+        i0 = max(0, -((p - padding) // stride))  # first entry past the left padding
+        src = xt[:, :, p + stride * i0 - padding::stride]
+        phase[:, :, i0:i0 + src.shape[2]] = src
+        phases.append(phase)
+    return phases
+
+
+def _conv_input(x: np.ndarray, k: int, stride: int, padding: int,
+                record: bool) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """The phases of _conv_phases, and what backward reads as the padded
+    input when a graph is recorded: x itself, or with padding a (B, Ci, L + 2p)
+    view of the channel-major padded copy."""
+    phases = _conv_phases(x, k, stride, padding)
+    if not record:
+        return phases, None
+    if not padding:
+        return phases, x
+    xc = phases[0] if stride == 1 else _conv_phases(x, 1, 1, padding)[0]
+    return phases, xc.transpose(1, 0, 2)
+
+
+def _conv_blocks(phases: list[np.ndarray], w: np.ndarray, stride: int, l_out: int):
+    """Yield (c0, c1, b0, b1, block) for each finished block of the conv
+    output, laid out (Co, B, L_out): a range of output channels, or, when one
+    channel's plane is larger than _BLOCK_BYTES, a range of batch rows of one
+    channel. Each block takes its (ci, k) taps in order from 0, so every
+    output element sums its products in the order a plain nested loop would.
+    BLAS-backed contractions would reassociate the sum and drift in the last
+    bit; blocking only keeps the per-tap multiply and add in cache. The block
+    is a view of one buffer that the next block overwrites."""
+    co, ci, k = w.shape
+    _, bsz, _ = phases[0].shape
+    row_bytes = l_out * phases[0].itemsize
     if bsz * row_bytes <= _BLOCK_BYTES:
         c_step, b_step = min(co, _BLOCK_BYTES // (bsz * row_bytes)), bsz
     else:
         c_step, b_step = 1, max(1, _BLOCK_BYTES // row_bytes)
-    data = np.empty((bsz, co, l_out), dtype=xc.dtype if bias is None
-                    else np.promote_types(xc.dtype, bias.data.dtype))
-    acc = np.empty((c_step, b_step, l_out), dtype=xc.dtype)
-    scratch = np.empty(acc.shape, dtype=np.result_type(xc.dtype, w.data.dtype))
+    acc = np.empty((c_step, b_step, l_out), dtype=phases[0].dtype)
+    scratch = np.empty(acc.shape, dtype=np.result_type(acc.dtype, w.dtype))
     for c0 in range(0, co, c_step):
         c1 = min(c0 + c_step, co)
         for b0 in range(0, bsz, b_step):
@@ -567,54 +612,88 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
                 for kk in range(k):
                     off = kk // stride
                     run = phases[kk % stride][c_in, b0:b1, off:off + l_out]
-                    np.multiply(w.data[c0:c1, c_in, kk, None, None], run, out=prod)
+                    np.multiply(w[c0:c1, c_in, kk, None, None], run, out=prod)
                     block += prod
-            dst = data[b0:b1, c0:c1]
-            if bias is None:
-                dst[...] = block.transpose(1, 0, 2)
-            else:
-                np.add(block.transpose(1, 0, 2), bias.data[c0:c1, None], out=dst)
+            yield c0, c1, b0, b1, block
 
+
+def _conv_into(out: np.ndarray, phases: list[np.ndarray], w: np.ndarray,
+               bias: np.ndarray | None, stride: int) -> None:
+    """Write the conv output, bias added last, into ``out`` (B, Co, L_out),
+    each block transposed into its slice."""
+    for c0, c1, b0, b1, block in _conv_blocks(phases, w, stride, out.shape[2]):
+        dst = out[b0:b1, c0:c1]
+        if bias is None:
+            dst[...] = block.transpose(1, 0, 2)
+        else:
+            np.add(block.transpose(1, 0, 2), bias[c0:c1, None], out=dst)
+
+
+def _conv_backward(g: np.ndarray, x: Tensor, w: Tensor, bias: Tensor | None,
+                   xp: np.ndarray, stride: int, padding: int) -> None:
+    """Accumulate conv1d's bias, w and x gradients for the output gradient g."""
+    co, ci, k = w.data.shape
+    bsz, _, l_in = x.data.shape
+    l_out = g.shape[2]
+    if bias is not None and bias.requires_grad:
+        bias._accumulate(g.sum(axis=(0, 2)))
+    # The products below are the ones einsum(optimize=True) and
+    # tensordot reach in the end, called directly to skip their
+    # per-call planning; the operand order, and so every bit, is theirs.
+    if w.requires_grad:
+        if k == 1:
+            xs = xp[:, :, ::stride][:, :, :l_out]
+            if min(bsz, co, ci, l_out) > 1:
+                gw = (xs.transpose(1, 0, 2).reshape(ci, -1)
+                      @ g.transpose(0, 2, 1).reshape(-1, co)).T[:, :, None]
+            else:
+                # einsum drops size-1 axes and multiplies differently
+                gw = np.einsum("bol,bcl->oc", g, xs, optimize=True)[:, :, None]
+        else:
+            # tensordot(g, window view, ([0, 2], [0, 3]))
+            win = _window_view(xp, k, stride, l_out)
+            gw = np.dot(g.transpose(1, 0, 2).reshape(co, -1),
+                        win.transpose(0, 3, 1, 2).reshape(-1, ci * k)
+                        ).reshape(co, ci, k)
+        w._accumulate_fresh(gw)
+    if x.requires_grad:
+        # dwin (B, Ci, K, L_out) = tensordot(w, g, ([0], [1])), then one
+        # strided add per tap, in tap order, undoes the window view. Taps
+        # that land in the padding are left out, so each element of x
+        # sums the same terms in the same order as on a padded copy.
+        dwin = np.dot(w.data.transpose(1, 2, 0).reshape(ci * k, co),
+                      g.transpose(1, 0, 2).reshape(co, -1)
+                      ).reshape(ci, k, bsz, l_out).transpose(2, 0, 1, 3)
+        gx = np.zeros(x.data.shape, dtype=x.data.dtype)
+        for kk in range(k):
+            j0 = max(0, -((kk - padding) // stride))
+            j1 = min(l_out, (l_in - 1 + padding - kk) // stride + 1)
+            if j1 > j0:
+                s = kk - padding + stride * j0
+                gx[:, :, s:s + stride * (j1 - j0):stride] += dwin[:, :, kk, j0:j1]
+        x._accumulate_fresh(gx)
+
+
+def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
+    """Cross-correlation over time. x (B, Ci, L), w (Co, Ci, K) -> (B, Co, L_out).
+
+    L_out = floor((L + 2*padding - K) / stride) + 1. Bias optional, shape (Co,).
+    Every output element sums its Ci*K products from 0 in (ci, k) order and
+    then adds the bias, bit for bit what a plain nested loop gives; the
+    forward runs in cache-sized blocks of a channel-major layout without
+    changing that order.
+    """
+    x, w, bias, l_out = _conv_args(x, w, b, stride, padding)
     parents = (x, w) if bias is None else (x, w, bias)
+    phases, xp = _conv_input(x.data, w.data.shape[2], stride, padding,
+                             _records(parents))
+    data = np.empty((x.data.shape[0], w.data.shape[0], l_out),
+                    dtype=x.data.dtype if bias is None
+                    else np.promote_types(x.data.dtype, bias.data.dtype))
+    _conv_into(data, phases, w.data, None if bias is None else bias.data, stride)
 
     def backward(g):
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2)))
-        # The products below are the ones einsum(optimize=True) and
-        # tensordot reach in the end, called directly to skip their
-        # per-call planning; the operand order, and so every bit, is theirs.
-        if w.requires_grad:
-            if k == 1:
-                xs = xp[:, :, ::stride][:, :, :l_out]
-                if min(bsz, co, ci, l_out) > 1:
-                    gw = (xs.transpose(1, 0, 2).reshape(ci, -1)
-                          @ g.transpose(0, 2, 1).reshape(-1, co)).T[:, :, None]
-                else:
-                    # einsum drops size-1 axes and multiplies differently
-                    gw = np.einsum("bol,bcl->oc", g, xs, optimize=True)[:, :, None]
-            else:
-                # tensordot(g, window view, ([0, 2], [0, 3]))
-                win = _window_view(xp, k, stride, l_out)
-                gw = np.dot(g.transpose(1, 0, 2).reshape(co, -1),
-                            win.transpose(0, 3, 1, 2).reshape(-1, ci * k)
-                            ).reshape(co, ci, k)
-            w._accumulate_fresh(gw)
-        if x.requires_grad:
-            # dwin (B, Ci, K, L_out) = tensordot(w, g, ([0], [1])), then one
-            # strided add per tap, in tap order, undoes the window view. Taps
-            # that land in the padding are left out, so each element of x
-            # sums the same terms in the same order as on a padded copy.
-            dwin = np.dot(w.data.transpose(1, 2, 0).reshape(ci * k, co),
-                          g.transpose(1, 0, 2).reshape(co, -1)
-                          ).reshape(ci, k, bsz, l_out).transpose(2, 0, 1, 3)
-            gx = np.zeros(x.data.shape, dtype=x.data.dtype)
-            for kk in range(k):
-                j0 = max(0, -((kk - padding) // stride))
-                j1 = min(l_out, (l_in - 1 + padding - kk) // stride + 1)
-                if j1 > j0:
-                    s = kk - padding + stride * j0
-                    gx[:, :, s:s + stride * (j1 - j0):stride] += dwin[:, :, kk, j0:j1]
-            x._accumulate_fresh(gx)
+        _conv_backward(g, x, w, bias, xp, stride, padding)
 
     return Tensor._result(data, parents, backward)
 
@@ -680,6 +759,107 @@ def adaptive_avgpool1d(x, out_len: int) -> Tensor:
 # -- normalization and regularization ----------------------------------------------------
 
 
+def _bn_args(gamma, beta, running_mean, running_var, c: int):
+    """Checked gamma and beta Tensors and the running arrays of a batchnorm
+    over c channels."""
+    gamma, beta = _coerce(gamma), _coerce(beta)
+    if gamma.data.shape != (c,) or beta.data.shape != (c,):
+        raise ShapeError("batchnorm1d: gamma/beta must have shape (C,)")
+    # accept Tensor buffers or bare arrays; updates must hit the caller's
+    # storage, so unwrap before the in-place ops
+    rm = running_mean.data if isinstance(running_mean, Tensor) else running_mean
+    rv = running_var.data if isinstance(running_var, Tensor) else running_var
+    return gamma, beta, rm, rv
+
+
+def _bn_train_forward(x: np.ndarray, xhat: np.ndarray, gamma: np.ndarray,
+                      beta: np.ndarray, rm: np.ndarray, rv: np.ndarray,
+                      momentum: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Training batchnorm of x (B, C, L) with batch statistics.
+
+    Writes the normalized x into ``xhat``, which may be x itself, updates the
+    running arrays in place (unbiased variance in the running estimate) and
+    returns (output, inv) with inv = 1 / sqrt(var + eps).
+    """
+    axes = (0, 2)
+    n = x.shape[0] * x.shape[2]
+    # One shared mean, byte-equal to x.mean and x.var (which computes the
+    # mean again): xhat starts as x - mean, and the variance is the mean of
+    # its squares.
+    mu = np.add.reduce(x, axis=axes, keepdims=True) / n
+    np.subtract(x, mu, out=xhat)
+    var = np.add.reduce(xhat * xhat, axis=axes) / n
+    rm *= 1.0 - momentum
+    rm += momentum * mu.reshape(x.shape[1])
+    if n > 1:
+        rv *= 1.0 - momentum
+        rv += momentum * var * (n / (n - 1.0))
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv[None, :, None]
+    out = gamma[None, :, None] * xhat
+    out += beta[None, :, None]
+    return out, inv
+
+
+def _bn_train_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                       gamma: Tensor, beta: Tensor, need_x: bool) -> np.ndarray | None:
+    """Accumulate training batchnorm's gamma and beta gradients; return the
+    x gradient as a new array when ``need_x``. The elementwise steps of
+    dxhat - (s1 + xhat * s2) / n run in place, in that operand order."""
+    axes = (0, 2)
+    n = g.shape[0] * g.shape[2]
+    if beta.requires_grad:
+        beta._accumulate(g.sum(axis=axes))
+    t = None
+    if gamma.requires_grad:
+        t = g * xhat
+        gamma._accumulate(t.sum(axis=axes))
+    if not need_x:
+        return None
+    dxhat = g * gamma.data[None, :, None]
+    t = np.multiply(dxhat, xhat, out=t)
+    s1 = dxhat.sum(axis=axes)
+    s2 = t.sum(axis=axes)
+    np.multiply(xhat, s2[None, :, None], out=t)
+    np.add(s1[None, :, None], t, out=t)
+    t /= n
+    dxhat -= t
+    dxhat *= inv[None, :, None]
+    return dxhat
+
+
+def _bn_eval_stats(rm: np.ndarray, rv: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, inv) for eval-mode batchnorm: copies taken now, because later
+    training steps update the running arrays in place."""
+    return rm.copy(), 1.0 / np.sqrt(rv + eps)
+
+
+def _bn_eval_block(x: np.ndarray, mean, inv, gamma, beta, xhat: np.ndarray,
+                   out: np.ndarray) -> None:
+    """out = gamma * ((x - mean) * inv) + beta over one block, the
+    per-channel arrays already shaped to broadcast against it. ``xhat`` is
+    scratch; x, xhat and out may all be the same array."""
+    np.subtract(x, mean, out=xhat)
+    np.multiply(xhat, inv, out=xhat)
+    np.multiply(gamma, xhat, out=out)
+    np.add(out, beta, out=out)
+
+
+def _bn_eval_backward(g: np.ndarray, x: np.ndarray, mean: np.ndarray, inv: np.ndarray,
+                      gamma: Tensor, beta: Tensor, need_x: bool) -> np.ndarray | None:
+    """Accumulate eval batchnorm's gamma and beta gradients, recomputing
+    xhat from its input x; return the x gradient as a new array when
+    ``need_x``."""
+    if beta.requires_grad:
+        beta._accumulate(g.sum(axis=(0, 2)))
+    if gamma.requires_grad:
+        t = x - mean[None, :, None]
+        t *= inv[None, :, None]
+        t *= g
+        gamma._accumulate(t.sum(axis=(0, 2)))
+    return g * (gamma.data * inv)[None, :, None] if need_x else None
+
+
 def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
                 training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
     """Per-channel normalization over (batch, time) for x (B, C, L).
@@ -688,59 +868,27 @@ def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarra
     arrays in place (unbiased variance in the running estimate). Eval mode
     uses the running arrays and is a pure affine map.
     """
-    x, gamma, beta = _coerce(x), _coerce(gamma), _coerce(beta)
+    x = _coerce(x)
     if x.data.ndim != 3:
         raise ShapeError("batchnorm1d expects x (B, C, L)")
-    c = x.data.shape[1]
-    if gamma.data.shape != (c,) or beta.data.shape != (c,):
-        raise ShapeError("batchnorm1d: gamma/beta must have shape (C,)")
-    # accept Tensor buffers or bare arrays; updates must hit the caller's
-    # storage, so unwrap before the in-place ops
-    rm_arr = running_mean.data if isinstance(running_mean, Tensor) else running_mean
-    rv_arr = running_var.data if isinstance(running_var, Tensor) else running_var
+    gamma, beta, rm, rv = _bn_args(gamma, beta, running_mean, running_var,
+                                   x.data.shape[1])
 
     if training:
-        axes = (0, 2)
-        n = x.data.shape[0] * x.data.shape[2]
-        # One shared mean, byte-equal to x.mean and x.var (which computes the
-        # mean again): xhat starts as x - mean, and the variance is the mean
-        # of its squares.
-        mu = np.add.reduce(x.data, axis=axes, keepdims=True) / n
-        xhat = x.data - mu
-        var = np.add.reduce(xhat * xhat, axis=axes) / n
-        rm_arr *= 1.0 - momentum
-        rm_arr += momentum * mu.reshape(c)
-        if n > 1:
-            rv_arr *= 1.0 - momentum
-            rv_arr += momentum * var * (n / (n - 1.0))
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat *= inv[None, :, None]
-        data = gamma.data[None, :, None] * xhat
-        data += beta.data[None, :, None]
+        xhat = np.empty_like(x.data)
+        data, inv = _bn_train_forward(x.data, xhat, gamma.data, beta.data, rm, rv,
+                                      momentum, eps)
 
         def backward(g):
-            if beta.requires_grad:
-                beta._accumulate(g.sum(axis=axes))
-            if gamma.requires_grad:
-                gamma._accumulate((g * xhat).sum(axis=axes))
-            if x.requires_grad:
-                dxhat = g * gamma.data[None, :, None]
-                s1 = dxhat.sum(axis=axes)
-                s2 = (dxhat * xhat).sum(axis=axes)
-                gx = (dxhat - (s1[None, :, None] + xhat * s2[None, :, None]) / n)
-                gx *= inv[None, :, None]
+            gx = _bn_train_backward(g, xhat, inv, gamma, beta, x.requires_grad)
+            if gx is not None:
                 x._accumulate_fresh(gx)
 
         return Tensor._result(data, (x, gamma, beta), backward)
 
     # Eval mode runs over row blocks of at most _BLOCK_BYTES, each taking its
-    # four passes while in cache, and keeps no xhat: backward recomputes it
-    # from x and from copies of the statistics taken now, because later
-    # training steps update the running arrays in place.
-    inv = 1.0 / np.sqrt(rv_arr + eps)
-    mean = rm_arr.copy()
-    mean_c, inv_c = mean[None, :, None], inv[None, :, None]
-    gamma_c, beta_c = gamma.data[None, :, None], beta.data[None, :, None]
+    # four passes while in cache, and keeps no xhat: backward recomputes it.
+    mean, inv = _bn_eval_stats(rm, rv, eps)
     xhat_dtype = np.result_type(x.data, mean, inv)
     data = np.empty(x.data.shape, dtype=np.result_type(gamma.data, xhat_dtype, beta.data))
     step = _rows_per_block(data)
@@ -748,21 +896,109 @@ def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarra
     for r0 in range(0, len(data), step):
         rows = slice(r0, r0 + step)
         out = data[rows]
-        xh = xhat[:len(out)]
-        np.subtract(x.data[rows], mean_c, out=xh)
-        np.multiply(xh, inv_c, out=xh)
-        np.multiply(gamma_c, xh, out=out)
-        np.add(out, beta_c, out=out)
+        _bn_eval_block(x.data[rows], mean[None, :, None], inv[None, :, None],
+                       gamma.data[None, :, None], beta.data[None, :, None],
+                       xhat[:len(out)], out)
 
     def backward(g):
-        if beta.requires_grad:
-            beta._accumulate(g.sum(axis=(0, 2)))
-        if gamma.requires_grad:
-            gamma._accumulate((g * ((x.data - mean_c) * inv_c)).sum(axis=(0, 2)))
-        if x.requires_grad:
-            x._accumulate(g * (gamma.data * inv)[None, :, None])
+        gx = _bn_eval_backward(g, x.data, mean, inv, gamma, beta, x.requires_grad)
+        if gx is not None:
+            x._accumulate_fresh(gx)
 
     return Tensor._result(data, (x, gamma, beta), backward)
+
+
+def conv_bn_act(x, w, b, gamma, beta, running_mean: np.ndarray,
+                running_var: np.ndarray, training: bool, stride: int = 1,
+                padding: int = 0, skip=None, act: bool = True,
+                momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+    """conv1d, then batchnorm1d, then ``skip +`` when a skip is given, then
+    swish when ``act``, as one node.
+
+    It runs the elementwise steps of that chain in the same order and with
+    the same operand order, so its output, gradients and running arrays
+    equal the chain's bit for bit. In training mode the conv output fills
+    one array, which the batch statistics then normalize in place. In eval
+    mode batchnorm, the skip add and swish run on each conv output block
+    while it is in cache, and no full-size intermediate is allocated unless
+    a graph is recorded, when the arrays backward reads are kept.
+    """
+    x, w, bias, l_out = _conv_args(x, w, b, stride, padding)
+    co = w.data.shape[0]
+    gamma, beta, rm, rv = _bn_args(gamma, beta, running_mean, running_var, co)
+    shape = (x.data.shape[0], co, l_out)
+    if skip is not None:
+        skip = _coerce(skip)
+        if skip.data.shape != shape:
+            raise ShapeError(f"conv_bn_act: skip shape {skip.data.shape} != {shape}")
+    # skip comes first, as in add(skip, ...), so backward walks the graph in
+    # the chain's order
+    parents = (() if skip is None else (skip,)) + (x, w) + (
+        () if bias is None else (bias,)) + (gamma, beta)
+    record = _records(parents)
+    phases, xp = _conv_input(x.data, w.data.shape[2], stride, padding, record)
+    bias_data = None if bias is None else bias.data
+    pre = sig = None
+    if training:
+        y = np.empty(shape, dtype=x.data.dtype)
+        _conv_into(y, phases, w.data, bias_data, stride)
+        del phases
+        # Nothing reads the conv output but the statistics, so it becomes xhat.
+        data, inv = _bn_train_forward(y, y, gamma.data, beta.data, rm, rv, momentum, eps)
+        if skip is not None:
+            np.add(skip.data, data, out=data)
+        if act:
+            pre, data = data, np.empty_like(data)
+            sig = np.empty_like(data) if record else None
+            _sigmoid(pre, sig, data)
+    else:
+        mean, inv = _bn_eval_stats(rm, rv, eps)
+        data = np.empty(shape, dtype=x.data.dtype)
+        # Only backward reads the full conv output, pre-activation and sigmoid.
+        y = np.empty_like(data) if record else None
+        if act and record:
+            pre, sig = np.empty_like(data), np.empty_like(data)
+        for c0, c1, b0, b1, block in _conv_blocks(phases, w.data, stride, l_out):
+            if c0 == b0 == 0:  # the first block is the largest
+                e, p, s = _sigmoid_scratch(block.shape, block.dtype)
+            cs = slice(c0, c1)
+            if bias is not None:
+                np.add(block, bias_data[cs, None, None], out=block)
+            if record:
+                y[b0:b1, cs] = block.transpose(1, 0, 2)
+            _bn_eval_block(block, mean[cs, None, None], inv[cs, None, None],
+                           gamma.data[cs, None, None], beta.data[cs, None, None],
+                           block, block)
+            if skip is not None:
+                np.add(skip.data[b0:b1, cs].transpose(1, 0, 2), block, out=block)
+            dst = data[b0:b1, cs].transpose(1, 0, 2)
+            if act:
+                n_c, n_b = block.shape[:2]
+                if record:
+                    pre[b0:b1, cs] = block.transpose(1, 0, 2)
+                _sigmoid_block(block, e[:n_c, :n_b], p[:n_c, :n_b],
+                               sig[b0:b1, cs].transpose(1, 0, 2) if record
+                               else s[:n_c, :n_b], dst)
+            else:
+                dst[...] = block
+    conv_grad = x.requires_grad or w.requires_grad or (
+        bias is not None and bias.requires_grad)
+
+    def backward(g):
+        if act:
+            g = _swish_backward(g, pre, sig)
+        if skip is not None and skip.requires_grad:
+            # a swish gradient is a new array this node no longer writes;
+            # the node's own gradient must be copied
+            (skip._accumulate_fresh if act else skip._accumulate)(g)
+        if training:
+            gy = _bn_train_backward(g, y, inv, gamma, beta, conv_grad)
+        else:
+            gy = _bn_eval_backward(g, y, mean, inv, gamma, beta, conv_grad)
+        if gy is not None:
+            _conv_backward(gy, x, w, bias, xp, stride, padding)
+
+    return Tensor._result(data, parents, backward)
 
 
 def dropout(x, p: float, training: bool) -> Tensor:

@@ -115,6 +115,8 @@ def load_config_file(path) -> dict[str, str]:
                 pairs[key.strip()] = value.strip()
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path}: {exc}") from exc
     return pairs
 
 

@@ -778,3 +778,136 @@ class TestConv1dOutputWrite:
                 tracemalloc.stop()
         assert out.data.nbytes == out_bytes
         assert peak < bound, (peak, bound)
+
+    def test_stride2_holds_no_second_input_copy(self):
+        # Without a graph the stride-2 phases are built straight from x, so
+        # the forward holds no more above its output than at stride 1; the
+        # slack covers the loop's Python objects.
+        rng = np.random.default_rng(29)
+        x = Tensor(rng.standard_normal((8, 64, 4096)).astype(np.float32))
+        w = Tensor(rng.standard_normal((64, 64, 3)).astype(np.float32))
+        held = {}
+        for stride in (1, 2):
+            with engine.no_grad():
+                tracemalloc.start()
+                try:
+                    out = conv1d(x, w, stride=stride, padding=1)
+                    held[stride] = tracemalloc.get_traced_memory()[1] - out.data.nbytes
+                finally:
+                    tracemalloc.stop()
+            del out
+        assert held[2] <= held[1] + 16 * 1024, held
+
+
+def conv_bn_act_chain(x, w, b, gamma, beta, rm, rv, training, stride, padding,
+                      skip, act):
+    """The unfused chain conv_bn_act replaces."""
+    h = batchnorm1d(conv1d(x, w, b, stride=stride, padding=padding), gamma, beta,
+                    rm, rv, training=training)
+    if skip is not None:
+        h = T.add(skip, h)
+    return swish(h) if act else h
+
+
+class TestConvBnAct:
+    """The fused conv -> batchnorm -> (skip) -> swish node gives the chain's
+    output, gradients and running arrays bit for bit."""
+
+    # (B, Ci, Co, L, K, stride, padding, block bytes): None keeps the
+    # module's block size; 600 bytes cuts the k=7 output into channel blocks
+    # with a short last one, 1100 bytes cuts the (5, 3, 64) output into
+    # batch-row blocks with a short last one.
+    GEOMETRIES = [(3, 4, 6, 37, 1, 1, 0, None), (3, 4, 6, 37, 1, 2, 0, None),
+                  (3, 4, 6, 37, 3, 2, 1, None), (4, 3, 4, 20, 3, 1, 0, None),
+                  (2, 3, 5, 41, 7, 2, 3, 600), (4, 3, 4, 20, 7, 1, 0, None),
+                  (5, 2, 3, 64, 3, 1, 1, 1100)]
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_matches_chain_bitwise(self, monkeypatch, geometry, training, record,
+                                   precision):
+        bsz, ci, co, length, k, stride, pad, block_bytes = geometry
+        if block_bytes is not None:
+            monkeypatch.setattr(T, "_BLOCK_BYTES", block_bytes)
+        engine.set_precision(precision)
+        dt = engine.dtype()
+        rng = np.random.default_rng(30)
+        arrays = {"x": rng.standard_normal((bsz, ci, length)) * 2,
+                  "w": rng.standard_normal((co, ci, k)) * 0.5,
+                  "b": rng.standard_normal(co) * 0.1,
+                  "gamma": rng.random(co) + 0.5,
+                  "beta": rng.standard_normal(co) * 0.2}
+        l_out = (length + 2 * pad - k) // stride + 1
+        skip_data = rng.standard_normal((bsz, co, l_out)) * 3
+        g = rng.standard_normal((bsz, co, l_out)).astype(dt)
+        rm0 = rng.standard_normal(co).astype(dt)
+        rv0 = (rng.random(co) + 0.1).astype(dt)
+        for with_skip in (False, True):
+            for act in (False, True):
+                results = []
+                for op in (T.conv_bn_act, conv_bn_act_chain):
+                    ts = {n: Tensor(a, requires_grad=True) for n, a in arrays.items()}
+                    skip = Tensor(skip_data, requires_grad=True) if with_skip else None
+                    rm, rv = rm0.copy(), rv0.copy()
+                    if record:
+                        out = op(ts["x"], ts["w"], ts["b"], ts["gamma"], ts["beta"],
+                                 rm, rv, training, stride, pad, skip, act)
+                        # backward must use the statistics the forward saw
+                        rm += 1.0
+                        rv *= 3.0
+                        out.backward(g)
+                    else:
+                        with engine.no_grad():
+                            out = op(ts["x"], ts["w"], ts["b"], ts["gamma"], ts["beta"],
+                                     rm, rv, training, stride, pad, skip, act)
+                    grads = [t.grad for t in ts.values()]
+                    if skip is not None:
+                        grads.append(skip.grad)
+                    results.append([out.data, rm, rv] + grads)
+                case = (with_skip, act)
+                for i, (got, want) in enumerate(zip(*results)):
+                    if want is None:
+                        assert got is None, (case, i)
+                        continue
+                    assert got.dtype == want.dtype, (case, i)
+                    assert got.shape == want.shape, (case, i)
+                    assert got.tobytes() == want.tobytes(), (case, i)
+
+    def test_skip_shape_mismatch(self):
+        x = Tensor(np.zeros((2, 3, 8)))
+        w = Tensor(np.zeros((4, 3, 1)))
+        with pytest.raises(ShapeError, match="skip"):
+            T.conv_bn_act(x, w, None, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4),
+                          training=False, skip=Tensor(np.zeros((2, 4, 7))))
+
+    def test_eval_allocates_only_its_result(self):
+        # In eval without a graph each conv block takes batchnorm, the skip
+        # and swish in cache: besides its result the call holds the padded
+        # input copy and a few block-sized scratch arrays, not a second
+        # output-sized array.
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.standard_normal((8, 16, 4096)).astype(np.float32))
+        w = Tensor(rng.standard_normal((64, 16, 3)).astype(np.float32))
+        b, gamma, beta = (Tensor(rng.standard_normal(64).astype(np.float32))
+                          for _ in range(3))
+        rm = rng.standard_normal(64).astype(np.float32)
+        rv = (rng.random(64) + 0.1).astype(np.float32)
+        skip = Tensor(rng.standard_normal((8, 64, 4096)).astype(np.float32))
+        padded = x.data.nbytes + 8 * 16 * 2 * 4
+        out_bytes = skip.data.nbytes
+        # conv accumulator and product, sigmoid exponent, sign mask and
+        # sigmoid: under five blocks; the slack covers numpy's copy buffer
+        # and Python objects
+        bound = padded + out_bytes + 5 * T._BLOCK_BYTES + 64 * 1024
+        with engine.no_grad():
+            tracemalloc.start()
+            try:
+                out = T.conv_bn_act(x, w, b, gamma, beta, rm, rv, training=False,
+                                    padding=1, skip=skip)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert out.data.nbytes == out_bytes
+        assert peak < bound, (peak, bound)
