@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 
@@ -19,7 +20,8 @@ from . import engine
 from .engine import ConfigError, DataError, NumericalAbort, ShapeError
 from .loss import (discrete_challenge_score, load_weight_matrix,
                    merged_class_table, predict)
-from .model import build_model, layer_table, parameter_count, tiny_config
+from .model import (ModelConfig, build_model, layer_table, parameter_count,
+                    tiny_config)
 from .pipeline import (filter_and_split, load_dataset, make_synthetic_dataset,
                        synthetic_weight_matrix, write_dataset)
 from .trainer import (Checkpoint, TrainConfig, config_from_mapping,
@@ -138,31 +140,18 @@ def _cmd_train(args) -> int:
     base = TrainConfig()
     if args.config:
         base = config_from_mapping(load_config_file(args.config))
-    overrides: dict[str, str] = {}
-    if args.variant:
-        overrides["variant"] = args.variant
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.epochs is not None:
-        overrides["max_epochs"] = str(args.epochs)
-    if args.batch_size is not None:
-        overrides["batch_size"] = str(args.batch_size)
-    if args.preset:
-        overrides["preset"] = args.preset
-    overrides["data"] = args.data
-    if args.weights:
-        overrides["weights"] = args.weights
-    if args.out:
-        overrides["out"] = args.out
-    if args.verbose:
-        overrides["verbose"] = "true"
+    flags = {"variant": args.variant, "seed": args.seed, "max_epochs": args.epochs,
+             "batch_size": args.batch_size, "preset": args.preset, "data": args.data,
+             "weights": args.weights or None, "out": args.out or None,
+             "verbose": args.verbose or None}
+    overrides = {k: v for k, v in flags.items() if v is not None}
     env_seed = os.environ.get("SCATTERNET_SEED")
     if env_seed is not None:
         try:
-            overrides["seed"] = str(int(env_seed))
+            overrides["seed"] = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"SCATTERNET_SEED must be an integer: {exc}") from exc
-    cfg = config_from_mapping(overrides, base)
+    cfg = dataclasses.replace(base, **overrides)
     ckpt = train(cfg)
     last = ckpt.history[-1] if ckpt.history else {}
     print(f"trained variant={cfg.variant} epochs={len(ckpt.history)} "
@@ -217,9 +206,8 @@ def _cmd_score(args) -> int:
 
 def _cmd_params(args) -> int:
     engine.seed(0)
-    mcfg = tiny_config() if args.preset == "tiny" else None
-    from .model import ModelConfig
-    model = build_model(mcfg or ModelConfig(), args.variant)
+    mcfg = tiny_config() if args.preset == "tiny" else ModelConfig()
+    model = build_model(mcfg, args.variant)
     total = parameter_count(model)
     print(f"{total}")
     if args.table:

@@ -181,7 +181,7 @@ def challenge_term(t, p, w):
         t, p = T.reshape(t, (1, -1)), T.reshape(p, (1, -1))
     tw = T.matmul(t, Tensor(w_arr))                       # (B, K)
     reward = T.tensor_sum(T.mul(tw, p), axis=-1)          # (B,)
-    n = T.clip(T.tensor_sum(T.sub(T.add(t, p), T.mul(t, p)), axis=-1), EPS_N, None)
+    n = T.clip(soft_or_norm(t, p), EPS_N, None)
     per_record = T.div(reward, n)
     out = T.reshape(per_record, ()) if squeeze else T.mean(per_record)
     return _maybe_float(out, was)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -100,6 +101,13 @@ def layer_specs(config: ModelConfig, variant: str) -> list[LayerSpec]:
 
 
 # -- module plumbing --------------------------------------------------------------
+
+
+def flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of ``flat`` laid end to end in list order, each in its shape."""
+    sizes = [math.prod(shape) for shape in shapes]
+    return [flat[end - size:end].reshape(shape)
+            for shape, size, end in zip(shapes, sizes, accumulate(sizes))]
 
 
 class Module:
@@ -353,14 +361,12 @@ class Model(Module):
         self.fc2 = self._add_child("fc2", Linear(fc2.in_channels, fc2.out_channels))
 
         # One contiguous array holds every parameter, in named_parameters
-        # order, and each Tensor's data is its view of it, so an optimizer
-        # can update back-to-back parameters as one array.
+        # order, and each Tensor's data is its flat_views view of it, so an
+        # optimizer can update them all as one array.
         named = self.named_parameters()
         arena = np.concatenate([p.data.ravel() for _, p in named])
-        offset = 0
-        for _, p in named:
-            p.data = arena[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
+        for (_, p), view in zip(named, flat_views(arena, [p.shape for _, p in named])):
+            p.data = view
 
     def forward(self, x: Tensor, aux: Tensor, mode: str = "eval") -> Tensor:
         if not isinstance(x, Tensor):

@@ -63,16 +63,19 @@ class Window:
     offset: int
 
 
+# (low, high) ranges the power-line and baseline-drift corruptions draw from
+POWER_FREQ = (49.5, 50.5)
+POWER_AMP = (0.0, 0.1)
+DRIFT_FREQ = (0.05, 0.5)
+DRIFT_AMP = (0.0, 0.3)
+
+
 @dataclass(frozen=True)
 class AugmentConfig:
     power_prob: float = 0.5
-    power_freq: tuple[float, float] = (49.5, 50.5)
-    power_amp: tuple[float, float] = (0.0, 0.1)
     gauss_prob: float = 0.5
     gauss_std: float = 0.08
     drift_prob: float = 0.5
-    drift_freq: tuple[float, float] = (0.05, 0.5)
-    drift_amp: tuple[float, float] = (0.0, 0.3)
 
 
 def disabled_augment() -> AugmentConfig:
@@ -175,7 +178,7 @@ def center_crop_pad(x: np.ndarray, out_len: int = WINDOW_LEN) -> np.ndarray:
 
 
 def augment(x: np.ndarray, rng: np.random.Generator,
-            cfg: AugmentConfig = AugmentConfig(), fs: float = TARGET_FS) -> np.ndarray:
+            cfg: AugmentConfig = AugmentConfig()) -> np.ndarray:
     """The three window corruptions, each applied with its own probability.
 
     Power noise shares one sinusoid across all leads; drift draws a phase
@@ -183,11 +186,11 @@ def augment(x: np.ndarray, rng: np.random.Generator,
     """
     x = np.asarray(x, dtype=np.float32)
     out = x.copy()
-    t = np.arange(x.shape[1], dtype=np.float64) / fs
+    t = np.arange(x.shape[1], dtype=np.float64) / TARGET_FS
 
     if rng.random() < cfg.power_prob:
-        freq = rng.uniform(*cfg.power_freq)
-        amp = rng.uniform(*cfg.power_amp)
+        freq = rng.uniform(*POWER_FREQ)
+        amp = rng.uniform(*POWER_AMP)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         wave = (amp * np.sin(2.0 * np.pi * freq * t + phase)).astype(np.float32)
         out += wave[None, :]
@@ -196,8 +199,8 @@ def augment(x: np.ndarray, rng: np.random.Generator,
         out += rng.normal(0.0, cfg.gauss_std, size=out.shape).astype(np.float32)
 
     if rng.random() < cfg.drift_prob:
-        freq = rng.uniform(*cfg.drift_freq)
-        amp = rng.uniform(*cfg.drift_amp)
+        freq = rng.uniform(*DRIFT_FREQ)
+        amp = rng.uniform(*DRIFT_AMP)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=out.shape[0])
         drift = amp * np.sin(2.0 * np.pi * freq * t[None, :] + phases[:, None])
         out += drift.astype(np.float32)
@@ -318,7 +321,7 @@ def write_dataset(path, records: list[Record], wm: WeightMatrix) -> None:
     save_weight_matrix(os.path.join(path, "classes.csv"), wm)
 
 
-def _is_number(value) -> bool:
+def is_finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) \
         and math.isfinite(value)
 
@@ -327,13 +330,13 @@ def _is_number(value) -> bool:
 _MANIFEST_FIELDS = {
     "id": (lambda v: isinstance(v, str) and v.isprintable() and v not in ("", ".", "..")
            and "/" not in v and os.sep not in v, "a printable file name"),
-    "fs": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    "fs": (lambda v: is_finite_number(v) and v > 0, "a positive number"),
     "n_samples": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
                   "an integer >= 1"),
     "leads": (lambda v: v == N_LEADS, f"{N_LEADS}"),
     "labels": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
                "a list of strings"),
-    "age": (lambda v: v is None or _is_number(v), "a finite number or null"),
+    "age": (lambda v: v is None or is_finite_number(v), "a finite number or null"),
     "sex": (lambda v: v is None or isinstance(v, str), "a string or null"),
 }
 

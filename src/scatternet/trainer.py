@@ -18,7 +18,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import islice
 
 import numpy as np
 
@@ -28,11 +28,27 @@ from . import tensor as T
 from .tensor import Tensor
 from .loss import (WeightMatrix, bce, combined_loss, discrete_challenge_score,
                    load_weight_matrix, merged_class_table, predict)
-from .model import Model, ModelConfig, build_model, tiny_config
-from .pipeline import (AugmentConfig, Record, filter_and_split, load_dataset,
-                       make_window, prepare_pieces)
+from .model import Model, ModelConfig, build_model, flat_views, tiny_config
+from .pipeline import (AugmentConfig, Record, filter_and_split, is_finite_number,
+                       load_dataset, make_window, prepare_pieces)
 
 _MAGIC = b"SCTN\x01"
+
+
+# What a TrainConfig field must hold, and how to say so; window 0 means the
+# preset's default
+_CONFIG_RULES = {
+    **dict.fromkeys(("lr", "eps"), (lambda v: v > 0, "> 0")),
+    **dict.fromkeys(("beta1", "beta2"), (lambda v: 0 <= v < 1, "in [0, 1)")),
+    **dict.fromkeys(("plateau_factor", "threshold"), (lambda v: 0 < v < 1, "in (0, 1)")),
+    **dict.fromkeys(("power_prob", "gauss_prob", "drift_prob"),
+                    (lambda v: 0 <= v <= 1, "in [0, 1]")),
+    **dict.fromkeys(("gauss_std", "lr_floor", "plateau_tol", "max_steps",
+                     "plateau_patience", "window"), (lambda v: v >= 0, ">= 0")),
+    **dict.fromkeys(("batch_size", "max_epochs"), (lambda v: v >= 1, ">= 1")),
+    "variant": (lambda v: v in ("baseline", "scatter"), "baseline or scatter"),
+    "preset": (lambda v: v in ("full", "tiny"), "full or tiny"),
+}
 
 
 @dataclass
@@ -64,20 +80,13 @@ class TrainConfig:
     verbose: bool = False
 
     def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise ConfigError("lr must be > 0")
-        if not 0.0 < self.plateau_factor < 1.0:
-            raise ConfigError("plateau_factor must be in (0, 1)")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.max_epochs < 1:
-            raise ConfigError("max_epochs must be >= 1")
-        if self.variant not in ("baseline", "scatter"):
-            raise ConfigError(f"variant must be baseline or scatter, got {self.variant!r}")
-        if self.preset not in ("full", "tiny"):
-            raise ConfigError(f"preset must be full or tiny, got {self.preset!r}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError("threshold must be in (0, 1)")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            valid, what = _CONFIG_RULES.get(f.name, (None, None))
+            if valid and not valid(value):
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
 
     def model_config(self, n_classes: int) -> ModelConfig:
         base = tiny_config(n_classes) if self.preset == "tiny" \
@@ -180,26 +189,20 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: dict,
         p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
-def _flat_offset(a: np.ndarray) -> int | None:
-    """Element offset of a C-contiguous ``a`` in the flat array it views, or
-    None when ``a`` is not such a view."""
-    base = a.base
-    if (not isinstance(base, np.ndarray) or base.ndim != 1 or base.dtype != a.dtype
-            or not base.flags.c_contiguous or not a.flags.c_contiguous):
-        return None
-    return ((a.__array_interface__["data"][0] - base.__array_interface__["data"][0])
-            // a.itemsize)
+def _arena_of(data: list[np.ndarray]) -> np.ndarray | None:
+    """The 1-D array of which ``data`` are exactly the ``flat_views``, or None."""
+    arena = data[0].base if data else None
+    tiled = (isinstance(arena, np.ndarray) and arena.shape == (sum(d.size for d in data),)
+             and all(d.base is arena and d.__array_interface__ == w.__array_interface__
+                     for d, w in zip(data, flat_views(arena, [d.shape for d in data]))))
+    return arena if tiled else None
 
 
 class Adam:
-    """Binds ``adam_step`` to a list of named parameters.
-
-    The first and second moments live in two flat arrays, one slice per
-    parameter in list order. A step hands ``adam_step`` runs: parameters
-    that each have a gradient of their own shape and dtype and lie back to
-    back in one flat array, as in a model's parameter arena, go as one view
-    with their gradients concatenated. Any other parameter (one without a
-    gradient, or a tensor outside an arena) is a run of one, passed as it is.
+    """Binds ``adam_step`` to a list of named parameters, whose moments live in
+    two flat arrays laid out by ``flat_views``. A step updates the parameters'
+    arena as one array while each still holds its view of it and has a
+    gradient of its own shape and dtype; otherwise it passes each alone.
     """
 
     def __init__(self, named_params: list[tuple[str, Tensor]],
@@ -208,55 +211,27 @@ class Adam:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self._data = [p.data for _, p in named_params]
-        self._bounds = list(accumulate((d.size for d in self._data), initial=0))
         dtype = np.result_type(*{d.dtype for d in self._data}) if self._data \
             else engine.dtype()
-        self._m = np.zeros(self._bounds[-1], dtype=dtype)
+        self._m = np.zeros(sum(d.size for d in self._data), dtype=dtype)
         self._v = np.zeros_like(self._m)
-        self._m_views = [self._m[lo:hi].reshape(d.shape) for lo, hi, d in
-                         zip(self._bounds, self._bounds[1:], self._data)]
-        self._v_views = [self._v[lo:hi].reshape(d.shape) for lo, hi, d in
-                         zip(self._bounds, self._bounds[1:], self._data)]
-        # _follows[i]: parameter i's data starts where parameter i-1's ends,
-        # in the same flat array
-        self._offsets = [_flat_offset(d) for d in self._data]
-        self._follows = [i > 0 and off is not None and self._offsets[i - 1] is not None
-                         and d.base is self._data[i - 1].base
-                         and off == self._offsets[i - 1] + self._data[i - 1].size
-                         for i, (d, off) in enumerate(zip(self._data, self._offsets))]
+        self._m_views, self._v_views = (flat_views(a, [d.shape for d in self._data])
+                                        for a in (self._m, self._v))
+        self._arena = _arena_of(self._data)
 
     def zero_grad(self) -> None:
         for _, p in self.named:
             p.grad = None
 
-    def _runs(self) -> list[list]:
-        """[start, stop, packable] index ranges that cover the parameters."""
-        runs: list[list] = []
-        for i, (_, p) in enumerate(self.named):
-            g = p.grad
-            packable = (g is not None and p.data is self._data[i]
-                        and g.shape == p.data.shape and g.dtype == p.data.dtype)
-            if packable and self._follows[i] and runs[-1][2]:
-                runs[-1][1] = i + 1
-            else:
-                runs.append([i, i + 1, packable])
-        return runs
-
     def step(self, lr: float) -> None:
-        params, grads, ms, vs = [], [], [], []
-        for a, b, _ in self._runs():
-            if b - a == 1:
-                params.append(self.named[a][1].data)
-                grads.append(self.named[a][1].grad)
-                ms.append(self._m_views[a])
-                vs.append(self._v_views[a])
-                continue
-            lo, hi = self._bounds[a], self._bounds[b]
-            start = self._offsets[a]
-            params.append(self._data[a].base[start:start + hi - lo])
-            grads.append(np.concatenate([p.grad for _, p in self.named[a:b]], axis=None))
-            ms.append(self._m[lo:hi])
-            vs.append(self._v[lo:hi])
+        params = [p.data for _, p in self.named]
+        grads = [p.grad for _, p in self.named]
+        ms, vs = self._m_views, self._v_views
+        if self._arena is not None and all(
+                p is d and g is not None and g.shape == d.shape and g.dtype == d.dtype
+                for p, g, d in zip(params, grads, self._data)):
+            params, ms, vs = [self._arena], [self._m], [self._v]
+            grads = [np.concatenate(grads, axis=None)]
         state = {"m": ms, "v": vs, "t": self.step_count}
         adam_step(params, grads, state, lr, self.beta1, self.beta2, self.eps)
         self.step_count = state["t"]
@@ -304,17 +279,12 @@ def _valid_index_entry(entry) -> bool:
             and _is_count(entry.get("offset")))
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 # What each ModelConfig field of a manifest must hold, and how to say so.
 _MODEL_VALUES = {
     **dict.fromkeys(("n_leads", "n_classes", "window", "heads", "aux_features",
                      "fc_hidden"), (lambda v: _is_count(v) and v >= 1, "an integer >= 1")),
-    "dropout": (lambda v: _is_number(v) and 0 <= v < 1, "a number in [0, 1)"),
-    "width_scale": (lambda v: _is_number(v) and math.isfinite(v) and v > 0,
-                    "a finite number > 0"),
+    "dropout": (lambda v: is_finite_number(v) and 0 <= v < 1, "a number in [0, 1)"),
+    "width_scale": (lambda v: is_finite_number(v) and v > 0, "a finite number > 0"),
     "pos_encoding": (lambda v: isinstance(v, bool), "a boolean"),
 }
 
@@ -572,24 +542,20 @@ def evaluate_model(model: Model, records: list[Record], wm: WeightMatrix,
 # -- training loop ----------------------------------------------------------------------
 
 
-def _flat_copy(named: list[tuple[str, np.ndarray]]) -> list[tuple[str, np.ndarray]]:
-    """Copies of the named arrays made as one flat copy, of which each is a view."""
-    flat = np.concatenate([a.ravel() for _, a in named])
-    views, lo = [], 0
-    for name, a in named:
-        views.append((name, flat[lo:lo + a.size].reshape(a.shape)))
-        lo += a.size
-    return views
+def _flat_copy(arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Copies of ``arrays`` made as one flat copy, of which each is a view."""
+    return flat_views(np.concatenate(arrays, axis=None), [a.shape for a in arrays])
 
 
 def _snapshot(model: Model, adam: Adam) -> dict:
-    moments = adam.moments()
-    m = _flat_copy([(n, m) for n, m, _ in moments])
-    v = _flat_copy([(n, v) for n, _, v in moments])
+    params, buffers, moments = (model.named_parameters(), model.named_buffers(),
+                                adam.moments())
+    names = [n for n, _, _ in moments]
     return {
-        "params": _flat_copy([(n, p.data) for n, p in model.named_parameters()]),
-        "buffers": _flat_copy(model.named_buffers()),
-        "moments": [(n, mn, vn) for (n, mn), (_, vn) in zip(m, v)],
+        "params": list(zip((n for n, _ in params), _flat_copy([p.data for _, p in params]))),
+        "buffers": list(zip((n for n, _ in buffers), _flat_copy([b for _, b in buffers]))),
+        "moments": list(zip(names, _flat_copy([m for _, m, _ in moments]),
+                            _flat_copy([v for _, _, v in moments]))),
         "adam_t": adam.step_count,
     }
 

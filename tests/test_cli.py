@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from scatternet import engine, trainer
+from scatternet import cli, engine, trainer
 from scatternet.cli import main, read_prediction_csv, write_prediction_csv
 from scatternet.engine import DataError
 from scatternet.model import ModelConfig, build_model, parameter_count, tiny_config
@@ -210,6 +210,33 @@ class TestTrainCommand:
         monkeypatch.setenv("SCATTERNET_SEED", "lucky")
         assert main(["train", "--data", str(dataset_dir)]) == 1
         assert "SCATTERNET_SEED" in capsys.readouterr().err
+
+
+class TestTrainOverrides:
+    def test_file_then_flags_then_env(self, dataset_dir, train_cfg_file, capsys,
+                                      monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "train", lambda cfg: seen.append(cfg) or Checkpoint(
+            manifest={"best_score": 0.0}, arrays={}))
+        monkeypatch.setenv("SCATTERNET_SEED", "5")
+        assert main(["train", "--data", str(dataset_dir), "--config", str(train_cfg_file),
+                     "--batch-size", "2", "--epochs", "3", "--seed", "4",
+                     "--variant", "scatter", "--verbose"]) == 0
+        (cfg,) = seen
+        assert (cfg.window, cfg.preset, cfg.power_prob) == (512, "tiny", 0.0)  # file
+        assert (cfg.batch_size, cfg.max_epochs, cfg.variant) == (2, 3, "scatter")
+        assert cfg.verbose is True and cfg.data == str(dataset_dir)
+        assert cfg.seed == 5 and cfg.weights == "" and cfg.out == ""
+
+
+class TestTrainConfigErrors:
+    def test_nan_lr_in_config_file_is_one_line_usage_error(self, capsys, tmp_path,
+                                                           dataset_dir):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("lr = nan\n", encoding="utf-8")
+        assert main(["train", "--data", str(dataset_dir), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lr must be finite") and err.count("\n") == 1
 
 
 class TestScoreCommand:

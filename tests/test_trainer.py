@@ -817,3 +817,26 @@ class TestTrainLoop:
         splits = filter_and_split(recs, merged, seed=cfg.seed)
         res = evaluate_model(model, splits["val"], wm)
         assert res["score"] == pytest.approx(ck.manifest["best_score"], abs=1e-9)
+
+
+class TestTrainConfigRanges:
+    @pytest.mark.parametrize("key,value", [
+        ("lr", "nan"), ("lr", "inf"), ("lr", "-0.1"), ("beta1", "nan"), ("beta1", "1"),
+        ("beta1", "-0.1"), ("beta2", "1"), ("beta2", "inf"), ("eps", "0"), ("eps", "-1e-8"),
+        ("gauss_std", "-1"), ("gauss_std", "inf"), ("power_prob", "2"),
+        ("gauss_prob", "-0.5"), ("drift_prob", "nan"), ("max_steps", "-1"),
+        ("plateau_patience", "-1"), ("lr_floor", "nan"), ("lr_floor", "-1e-6"),
+        ("plateau_tol", "inf"), ("plateau_tol", "-1"), ("window", "-5"),
+        ("plateau_factor", "nan"), ("threshold", "-inf"),
+    ])
+    def test_rejected_value_names_its_field(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            config_from_mapping({key: value})
+
+    @pytest.mark.parametrize("key,value", [
+        ("beta1", "0"), ("beta2", "0.999999"), ("power_prob", "0"), ("power_prob", "1"),
+        ("gauss_std", "0"), ("lr_floor", "0"), ("plateau_tol", "0"),
+        ("max_steps", "0"), ("plateau_patience", "0"), ("window", "0"),
+    ])
+    def test_edge_values_accepted(self, key, value):
+        assert getattr(config_from_mapping({key: value}), key) == float(value)
