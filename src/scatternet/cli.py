@@ -41,6 +41,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n\n{self.format_usage()}")
 
 
+def _threshold(text: str) -> float:
+    """The --threshold flag of eval and score: a float in (0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="scatternet", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -62,7 +73,7 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--split", choices=("train", "val", "holdout"),
                         default="val")
-    p_eval.add_argument("--threshold", type=float, default=0.5)
+    p_eval.add_argument("--threshold", type=_threshold, default=0.5)
     p_eval.add_argument("--pooled", action="store_true")
     p_eval.add_argument("--pred-out", default="", help="write probabilities CSV")
     p_eval.add_argument("--truth-out", default="", help="write truth CSV")
@@ -71,7 +82,7 @@ def _build_parser() -> _Parser:
     p_score.add_argument("--truth", required=True)
     p_score.add_argument("--pred", required=True)
     p_score.add_argument("--weights", required=True, help="classes.csv")
-    p_score.add_argument("--threshold", type=float, default=0.5)
+    p_score.add_argument("--threshold", type=_threshold, default=0.5)
     p_score.add_argument("--pooled", action="store_true")
 
     p_params = sub.add_parser("params", help="print parameter counts")

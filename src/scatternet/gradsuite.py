@@ -118,7 +118,8 @@ def run_model_check(verbose: bool = False) -> float:
     """End-to-end gradient check through a one-block tiny scatter model."""
     with engine.precision("float64"):
         engine.seed(3)
-        # time shrinks 64x before the 8-bin pool, so 512 is the shortest window
+        # time shrinks 64x, rounding up, before the 8-bin pool, so the
+        # shortest window is model.MIN_WINDOW (449); 512 is just above it
         cfg = ModelConfig(n_leads=2, n_classes=2, window=512, heads=2,
                           width_scale=0.25, fc_hidden=8, dropout=0.0)
         model = build_model(cfg, "scatter")

@@ -30,6 +30,10 @@ _STAGE_OUT = (48, 96, 192, 384)
 _STEM_OUT = 24
 _HEAD_OUT = 96
 _POOL_BINS = 8
+# The shortest window: the stem, the maxpool, the three stride-2 stages and
+# the head each halve the length, rounding up, and must leave _POOL_BINS
+# positions for the pool.
+MIN_WINDOW = 2 ** 6 * (_POOL_BINS - 1) + 1
 
 
 @dataclass(frozen=True)
@@ -166,14 +170,12 @@ class Conv1d(Module):
         return T.conv_bn_act(x, self.w, self.b, bn.gamma, bn.beta, bn.running_mean,
                              bn.running_var, training=(mode == "train"),
                              stride=self.stride, padding=self.padding, skip=skip,
-                             act=act, momentum=bn.momentum, eps=bn.eps)
+                             act=act)
 
 
 class BatchNorm1d(Module):
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1) -> None:
+    def __init__(self, channels: int) -> None:
         super().__init__()
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = self._register("gamma", Tensor(np.ones(channels), requires_grad=True))
         self.beta = self._register("beta", Tensor(np.zeros(channels), requires_grad=True))
         self.running_mean = self._register_buffer(
@@ -183,8 +185,7 @@ class BatchNorm1d(Module):
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
         return T.batchnorm1d(x, self.gamma, self.beta, self.running_mean,
-                             self.running_var, training=(mode == "train"),
-                             momentum=self.momentum, eps=self.eps)
+                             self.running_var, training=(mode == "train"))
 
 
 class Linear(Module):

@@ -110,8 +110,8 @@ def piece_offsets(n: int, win: int = PIECE_LEN) -> list[int]:
     return offsets
 
 
-def split_windows(rec: Record, win: int = PIECE_LEN) -> list[Record]:
-    """Cut a 500 Hz record into equal pieces of ``win`` samples.
+def split_windows(rec: Record) -> list[Record]:
+    """Cut a 500 Hz record into equal pieces of PIECE_LEN samples.
 
     Shorter records pass through as a single piece (padding happens at crop
     time). Labels and aux fields are copied onto every piece; each piece
@@ -120,12 +120,12 @@ def split_windows(rec: Record, win: int = PIECE_LEN) -> list[Record]:
     if rec.fs != TARGET_FS:
         raise DataError(f"record {rec.id}: split_windows needs 500 Hz input")
     n = rec.signal.shape[1]
-    if n <= win:
+    if n <= PIECE_LEN:
         return [rec]
     pieces = []
-    for idx, start in enumerate(piece_offsets(n, win)):
+    for idx, start in enumerate(piece_offsets(n)):
         pieces.append(replace(rec, id=f"{rec.id}#{idx}",
-                              signal=rec.signal[:, start:start + win],
+                              signal=rec.signal[:, start:start + PIECE_LEN],
                               origin_offset=rec.origin_offset + start))
     return pieces
 
@@ -233,11 +233,11 @@ def target_vector(labels: tuple[str, ...], table: dict[str, int], k: int) -> np.
     return t
 
 
-def prepare_pieces(records: list[Record], win: int = PIECE_LEN) -> list[Record]:
+def prepare_pieces(records: list[Record]) -> list[Record]:
     """Resample, split, and normalize; the output pieces feed window cropping."""
     pieces = []
     for rec in records:
-        for piece in split_windows(resample_to_500(rec), win):
+        for piece in split_windows(resample_to_500(rec)):
             pieces.append(replace(piece, signal=normalize_arctan(piece.signal)))
     return pieces
 

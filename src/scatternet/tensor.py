@@ -759,6 +759,11 @@ def adaptive_avgpool1d(x, out_len: int) -> Tensor:
 # -- normalization and regularization ----------------------------------------------------
 
 
+# Batchnorm's running-average momentum and the eps under its square root.
+_BN_MOMENTUM = 0.1
+_BN_EPS = 1e-5
+
+
 def _bn_args(gamma, beta, running_mean, running_var, c: int):
     """Checked gamma and beta Tensors and the running arrays of a batchnorm
     over c channels."""
@@ -773,8 +778,8 @@ def _bn_args(gamma, beta, running_mean, running_var, c: int):
 
 
 def _bn_train_forward(x: np.ndarray, xhat: np.ndarray, gamma: np.ndarray,
-                      beta: np.ndarray, rm: np.ndarray, rv: np.ndarray,
-                      momentum: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
+                      beta: np.ndarray, rm: np.ndarray,
+                      rv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Training batchnorm of x (B, C, L) with batch statistics.
 
     Writes the normalized x into ``xhat``, which may be x itself, updates the
@@ -789,12 +794,12 @@ def _bn_train_forward(x: np.ndarray, xhat: np.ndarray, gamma: np.ndarray,
     mu = np.add.reduce(x, axis=axes, keepdims=True) / n
     np.subtract(x, mu, out=xhat)
     var = np.add.reduce(xhat * xhat, axis=axes) / n
-    rm *= 1.0 - momentum
-    rm += momentum * mu.reshape(x.shape[1])
+    rm *= 1.0 - _BN_MOMENTUM
+    rm += _BN_MOMENTUM * mu.reshape(x.shape[1])
     if n > 1:
-        rv *= 1.0 - momentum
-        rv += momentum * var * (n / (n - 1.0))
-    inv = 1.0 / np.sqrt(var + eps)
+        rv *= 1.0 - _BN_MOMENTUM
+        rv += _BN_MOMENTUM * var * (n / (n - 1.0))
+    inv = 1.0 / np.sqrt(var + _BN_EPS)
     xhat *= inv[None, :, None]
     out = gamma[None, :, None] * xhat
     out += beta[None, :, None]
@@ -828,10 +833,10 @@ def _bn_train_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
     return dxhat
 
 
-def _bn_eval_stats(rm: np.ndarray, rv: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _bn_eval_stats(rm: np.ndarray, rv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mean, inv) for eval-mode batchnorm: copies taken now, because later
     training steps update the running arrays in place."""
-    return rm.copy(), 1.0 / np.sqrt(rv + eps)
+    return rm.copy(), 1.0 / np.sqrt(rv + _BN_EPS)
 
 
 def _bn_eval_block(x: np.ndarray, mean, inv, gamma, beta, xhat: np.ndarray,
@@ -860,8 +865,41 @@ def _bn_eval_backward(g: np.ndarray, x: np.ndarray, mean: np.ndarray, inv: np.nd
     return g * (gamma.data * inv)[None, :, None] if need_x else None
 
 
+def _bn_step(x: np.ndarray, gamma: Tensor, beta: Tensor, rm: np.ndarray,
+             rv: np.ndarray, training: bool, own_x: bool):
+    """Batchnorm of x (B, C, L): (output, backward), where backward(g, need_x)
+    accumulates the gamma and beta gradients and returns the x gradient as
+    a new array when ``need_x``.
+
+    Training mode normalizes with batch statistics and updates the running
+    arrays in place; the normalized x overwrites x itself when the caller
+    owns x and reads it no more. Eval mode uses the running arrays, never
+    writes x and keeps no normalized x (backward recomputes it): it runs
+    over row blocks of at most _BLOCK_BYTES, each taking its four passes
+    while in cache.
+    """
+    if training:
+        xhat = x if own_x else np.empty_like(x)
+        data, inv = _bn_train_forward(x, xhat, gamma.data, beta.data, rm, rv)
+        return data, lambda g, need_x: _bn_train_backward(g, xhat, inv, gamma, beta,
+                                                          need_x)
+    mean, inv = _bn_eval_stats(rm, rv)
+    xhat_dtype = np.result_type(x, mean, inv)
+    data = np.empty(x.shape, dtype=np.result_type(gamma.data, xhat_dtype, beta.data))
+    step = _rows_per_block(data)
+    xhat = np.empty((min(step, len(data)),) + data.shape[1:], dtype=xhat_dtype)
+    for r0 in range(0, len(data), step):
+        rows = slice(r0, r0 + step)
+        out = data[rows]
+        _bn_eval_block(x[rows], mean[None, :, None], inv[None, :, None],
+                       gamma.data[None, :, None], beta.data[None, :, None],
+                       xhat[:len(out)], out)
+    return data, lambda g, need_x: _bn_eval_backward(g, x, mean, inv, gamma, beta,
+                                                     need_x)
+
+
 def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
-                training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+                training: bool) -> Tensor:
     """Per-channel normalization over (batch, time) for x (B, C, L).
 
     Training mode normalizes with batch statistics and updates the running
@@ -873,35 +911,10 @@ def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarra
         raise ShapeError("batchnorm1d expects x (B, C, L)")
     gamma, beta, rm, rv = _bn_args(gamma, beta, running_mean, running_var,
                                    x.data.shape[1])
-
-    if training:
-        xhat = np.empty_like(x.data)
-        data, inv = _bn_train_forward(x.data, xhat, gamma.data, beta.data, rm, rv,
-                                      momentum, eps)
-
-        def backward(g):
-            gx = _bn_train_backward(g, xhat, inv, gamma, beta, x.requires_grad)
-            if gx is not None:
-                x._accumulate_fresh(gx)
-
-        return Tensor._result(data, (x, gamma, beta), backward)
-
-    # Eval mode runs over row blocks of at most _BLOCK_BYTES, each taking its
-    # four passes while in cache, and keeps no xhat: backward recomputes it.
-    mean, inv = _bn_eval_stats(rm, rv, eps)
-    xhat_dtype = np.result_type(x.data, mean, inv)
-    data = np.empty(x.data.shape, dtype=np.result_type(gamma.data, xhat_dtype, beta.data))
-    step = _rows_per_block(data)
-    xhat = np.empty((min(step, len(data)),) + data.shape[1:], dtype=xhat_dtype)
-    for r0 in range(0, len(data), step):
-        rows = slice(r0, r0 + step)
-        out = data[rows]
-        _bn_eval_block(x.data[rows], mean[None, :, None], inv[None, :, None],
-                       gamma.data[None, :, None], beta.data[None, :, None],
-                       xhat[:len(out)], out)
+    data, bn_backward = _bn_step(x.data, gamma, beta, rm, rv, training, own_x=False)
 
     def backward(g):
-        gx = _bn_eval_backward(g, x.data, mean, inv, gamma, beta, x.requires_grad)
+        gx = bn_backward(g, x.requires_grad)
         if gx is not None:
             x._accumulate_fresh(gx)
 
@@ -910,18 +923,18 @@ def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarra
 
 def conv_bn_act(x, w, b, gamma, beta, running_mean: np.ndarray,
                 running_var: np.ndarray, training: bool, stride: int = 1,
-                padding: int = 0, skip=None, act: bool = True,
-                momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+                padding: int = 0, skip=None, act: bool = True) -> Tensor:
     """conv1d, then batchnorm1d, then ``skip +`` when a skip is given, then
     swish when ``act``, as one node.
 
     It runs the elementwise steps of that chain in the same order and with
     the same operand order, so its output, gradients and running arrays
-    equal the chain's bit for bit. In training mode the conv output fills
-    one array, which the batch statistics then normalize in place. In eval
-    mode batchnorm, the skip add and swish run on each conv output block
-    while it is in cache, and no full-size intermediate is allocated unless
-    a graph is recorded, when the arrays backward reads are kept.
+    equal the chain's bit for bit. In training mode, or whenever a graph is
+    recorded, the conv output fills one array and the standalone ops' own
+    steps follow: batchnorm (in training it normalizes the conv output in
+    place), the skip add and swish. In eval mode without a graph
+    batchnorm, the skip add and swish run on each conv output block while
+    it is in cache, and no full-size intermediate is allocated.
     """
     x, w, bias, l_out = _conv_args(x, w, b, stride, padding)
     co = w.data.shape[0]
@@ -938,34 +951,15 @@ def conv_bn_act(x, w, b, gamma, beta, running_mean: np.ndarray,
     record = _records(parents)
     phases, xp = _conv_input(x.data, w.data.shape[2], stride, padding, record)
     bias_data = None if bias is None else bias.data
-    pre = sig = None
-    if training:
-        y = np.empty(shape, dtype=x.data.dtype)
-        _conv_into(y, phases, w.data, bias_data, stride)
-        del phases
-        # Nothing reads the conv output but the statistics, so it becomes xhat.
-        data, inv = _bn_train_forward(y, y, gamma.data, beta.data, rm, rv, momentum, eps)
-        if skip is not None:
-            np.add(skip.data, data, out=data)
-        if act:
-            pre, data = data, np.empty_like(data)
-            sig = np.empty_like(data) if record else None
-            _sigmoid(pre, sig, data)
-    else:
-        mean, inv = _bn_eval_stats(rm, rv, eps)
+    if not (training or record):
+        mean, inv = _bn_eval_stats(rm, rv)
         data = np.empty(shape, dtype=x.data.dtype)
-        # Only backward reads the full conv output, pre-activation and sigmoid.
-        y = np.empty_like(data) if record else None
-        if act and record:
-            pre, sig = np.empty_like(data), np.empty_like(data)
         for c0, c1, b0, b1, block in _conv_blocks(phases, w.data, stride, l_out):
             if c0 == b0 == 0:  # the first block is the largest
                 e, p, s = _sigmoid_scratch(block.shape, block.dtype)
             cs = slice(c0, c1)
             if bias is not None:
                 np.add(block, bias_data[cs, None, None], out=block)
-            if record:
-                y[b0:b1, cs] = block.transpose(1, 0, 2)
             _bn_eval_block(block, mean[cs, None, None], inv[cs, None, None],
                            gamma.data[cs, None, None], beta.data[cs, None, None],
                            block, block)
@@ -974,13 +968,22 @@ def conv_bn_act(x, w, b, gamma, beta, running_mean: np.ndarray,
             dst = data[b0:b1, cs].transpose(1, 0, 2)
             if act:
                 n_c, n_b = block.shape[:2]
-                if record:
-                    pre[b0:b1, cs] = block.transpose(1, 0, 2)
-                _sigmoid_block(block, e[:n_c, :n_b], p[:n_c, :n_b],
-                               sig[b0:b1, cs].transpose(1, 0, 2) if record
-                               else s[:n_c, :n_b], dst)
+                _sigmoid_block(block, e[:n_c, :n_b], p[:n_c, :n_b], s[:n_c, :n_b], dst)
             else:
                 dst[...] = block
+        return Tensor._result(data, parents, None)
+
+    y = np.empty(shape, dtype=x.data.dtype)
+    _conv_into(y, phases, w.data, bias_data, stride)
+    del phases
+    data, bn_backward = _bn_step(y, gamma, beta, rm, rv, training, own_x=True)
+    if skip is not None:
+        np.add(skip.data, data, out=data)
+    pre = sig = None
+    if act:
+        pre, data = data, np.empty_like(data)
+        sig = np.empty_like(data) if record else None
+        _sigmoid(pre, sig, data)
     conv_grad = x.requires_grad or w.requires_grad or (
         bias is not None and bias.requires_grad)
 
@@ -991,10 +994,7 @@ def conv_bn_act(x, w, b, gamma, beta, running_mean: np.ndarray,
             # a swish gradient is a new array this node no longer writes;
             # the node's own gradient must be copied
             (skip._accumulate_fresh if act else skip._accumulate)(g)
-        if training:
-            gy = _bn_train_backward(g, y, inv, gamma, beta, conv_grad)
-        else:
-            gy = _bn_eval_backward(g, y, mean, inv, gamma, beta, conv_grad)
+        gy = bn_backward(g, conv_grad)
         if gy is not None:
             _conv_backward(gy, x, w, bias, xp, stride, padding)
 

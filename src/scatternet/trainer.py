@@ -28,7 +28,8 @@ from . import tensor as T
 from .tensor import Tensor
 from .loss import (WeightMatrix, bce, combined_loss, discrete_challenge_score,
                    load_weight_matrix, merged_class_table, predict)
-from .model import Model, ModelConfig, build_model, flat_views, tiny_config
+from .model import (MIN_WINDOW, Model, ModelConfig, build_model, flat_views,
+                    tiny_config)
 from .pipeline import (AugmentConfig, Record, filter_and_split, is_finite_number,
                        load_dataset, make_window, prepare_pieces)
 
@@ -36,7 +37,7 @@ _MAGIC = b"SCTN\x01"
 
 
 # What a TrainConfig field must hold, and how to say so; window 0 means the
-# preset's default
+# preset's default, and a shorter window leaves the pool too few positions
 _CONFIG_RULES = {
     **dict.fromkeys(("lr", "eps"), (lambda v: v > 0, "> 0")),
     **dict.fromkeys(("beta1", "beta2"), (lambda v: 0 <= v < 1, "in [0, 1)")),
@@ -44,7 +45,8 @@ _CONFIG_RULES = {
     **dict.fromkeys(("power_prob", "gauss_prob", "drift_prob"),
                     (lambda v: 0 <= v <= 1, "in [0, 1]")),
     **dict.fromkeys(("gauss_std", "lr_floor", "plateau_tol", "max_steps",
-                     "plateau_patience", "window"), (lambda v: v >= 0, ">= 0")),
+                     "plateau_patience"), (lambda v: v >= 0, ">= 0")),
+    "window": (lambda v: v == 0 or v >= MIN_WINDOW, f"0 or >= {MIN_WINDOW}"),
     **dict.fromkeys(("batch_size", "max_epochs"), (lambda v: v >= 1, ">= 1")),
     "variant": (lambda v: v in ("baseline", "scatter"), "baseline or scatter"),
     "preset": (lambda v: v in ("full", "tiny"), "full or tiny"),

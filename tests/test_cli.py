@@ -365,3 +365,42 @@ class TestPredictionCsv:
         path.write_text("id,a,b\nr0,0.5,maybe\n", encoding="utf-8")
         with pytest.raises(DataError, match="row 1"):
             read_prediction_csv(path)
+
+
+class TestThresholdFlag:
+    """--threshold outside (0, 1) is a usage error found while parsing,
+    before any file is read."""
+
+    @pytest.mark.parametrize("value", ["1.5", "0", "nan"])
+    def test_eval_rejects_before_reading_checkpoint(self, capsys, tmp_path, value):
+        assert main(["eval", "--ckpt", str(tmp_path / "missing.ckpt"),
+                     "--data", str(tmp_path / "absent"), "--threshold", value]) == 1
+        err = capsys.readouterr().err
+        assert "--threshold" in err and "cannot read checkpoint" not in err
+
+    @pytest.mark.parametrize("value", ["1.5", "0", "nan"])
+    def test_score_rejects_before_reading_csvs(self, capsys, tmp_path, value):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["score", "--truth", missing, "--pred", missing,
+                     "--weights", missing, "--threshold", value]) == 1
+        err = capsys.readouterr().err
+        assert "--threshold" in err and "cannot read" not in err
+
+
+class TestWindowConfig:
+    def _train(self, tmp_path, dataset_dir, window):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(f"preset=tiny\nwindow={window}\nbatch_size=8\n"
+                       "power_prob=0\ngauss_prob=0\ndrift_prob=0\n", encoding="utf-8")
+        return main(["train", "--data", str(dataset_dir), "--config", str(cfg),
+                     "--epochs", "1"])
+
+    def test_window_below_min_is_one_line_config_error(self, capsys, tmp_path,
+                                                        dataset_dir):
+        assert self._train(tmp_path, dataset_dir, 448) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: window must be") and err.count("\n") == 1
+
+    def test_min_window_trains(self, capsys, tmp_path, dataset_dir):
+        assert self._train(tmp_path, dataset_dir, 449) == 0
+        assert "trained variant=baseline epochs=1" in capsys.readouterr().out

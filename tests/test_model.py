@@ -1,14 +1,16 @@
 """Architecture table, parameter accounting, block semantics, forward
 determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from scatternet import engine
 from scatternet import tensor as T
-from scatternet.engine import ConfigError, ShapeError
-from scatternet.model import (AttentionBlock, BottleneckBlock, Conv1d, Model,
-                              ModelConfig, ScatterBlock, build_model,
+from scatternet.engine import ConfigError, ShapeError, WindowTooShort
+from scatternet.model import (MIN_WINDOW, AttentionBlock, BottleneckBlock, Conv1d,
+                              Model, ModelConfig, ScatterBlock, build_model,
                               count_by_top_layer, layer_specs, layer_table,
                               parameter_count, tiny_config)
 from scatternet.scatter import scatter_forward
@@ -332,3 +334,27 @@ class TestForward:
         x = Tensor(np.zeros((1, 12, 5120), dtype=np.float32))
         aux = Tensor(np.zeros((1, 2), dtype=np.float32))
         assert model.forward(x, aux, mode="eval").data.shape == (1, 24)
+
+
+class TestMinWindow:
+    """MIN_WINDOW is the shortest window whose forward pass leaves the pool
+    its 8 positions, in both variants."""
+
+    @pytest.mark.parametrize("variant", ["baseline", "scatter"])
+    def test_forward_at_min_window(self, variant):
+        engine.seed(18)
+        cfg = dataclasses.replace(tiny_config(n_classes=3), window=MIN_WINDOW)
+        model = build_model(cfg, variant)
+        x = Tensor(np.random.default_rng(10).standard_normal((2, 12, MIN_WINDOW)))
+        logits = model.forward(x, Tensor(np.zeros((2, 2))), mode="eval")
+        assert logits.data.shape == (2, 3)
+        assert np.all(np.isfinite(logits.data))
+
+    @pytest.mark.parametrize("variant", ["baseline", "scatter"])
+    def test_one_shorter_is_too_short(self, variant):
+        engine.seed(18)
+        cfg = dataclasses.replace(tiny_config(n_classes=3), window=MIN_WINDOW - 1)
+        model = build_model(cfg, variant)
+        with pytest.raises(WindowTooShort):
+            model.forward(Tensor(np.zeros((1, 12, MIN_WINDOW - 1))),
+                          Tensor(np.zeros((1, 2))), mode="eval")

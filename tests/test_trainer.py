@@ -840,3 +840,15 @@ class TestTrainConfigRanges:
     ])
     def test_edge_values_accepted(self, key, value):
         assert getattr(config_from_mapping({key: value}), key) == float(value)
+
+
+class TestWindowRule:
+    """A window is 0 (the preset's default, accepted in
+    TestTrainConfigRanges) or at least model.MIN_WINDOW."""
+
+    def test_shorter_than_min_window_rejected(self):
+        with pytest.raises(ConfigError, match="^window must be"):
+            config_from_mapping({"window": "448"})
+
+    def test_min_window_accepted(self):
+        assert config_from_mapping({"window": "449"}).window == 449
