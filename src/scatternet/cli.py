@@ -24,7 +24,7 @@ from .model import (ModelConfig, build_model, layer_table, parameter_count,
                     tiny_config)
 from .pipeline import (filter_and_split, load_dataset, make_synthetic_dataset,
                        synthetic_weight_matrix, write_dataset)
-from .trainer import (Checkpoint, TrainConfig, config_from_mapping,
+from .trainer import (Checkpoint, TrainConfig, atomic_write, config_from_mapping,
                       evaluate_model, load_config_file, train)
 from .wavelets import analyticity_report, filter_bank
 
@@ -111,7 +111,7 @@ def _build_parser() -> _Parser:
 
 
 def write_prediction_csv(path, ids, classes, values) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id"] + list(classes))
         for rid, row in zip(ids, values):

@@ -106,6 +106,23 @@ def run_op_checks(verbose: bool = False) -> float:
             cases.append((f"conv_bn_act_{mode}", conv_bn_act_loss(mode == "train"),
                           [xc, wc, bc, gamma_c, beta_c, skip_c]))
 
+        gamma_s = Tensor(rng.random(6) + 0.5, requires_grad=True)
+        beta_s = _t(rng, 6, scale=0.2)
+        skip_s = _t(rng, 2, 6, 8)
+        stats_s = rng.standard_normal(6) * 0.1, rng.random(6) + 0.5
+
+        def scatter_bn_loss(training):
+            def loss(*_):
+                rm, rv = (Tensor(a.copy()) for a in stats_s)
+                out = scatter_forward(xs, gamma_s, beta_s, rm, rv, training=training,
+                                      skip=skip_s)
+                return tensor_sum(T.mul(out, sel_sc))
+            return loss
+
+        for mode in ("train", "eval"):
+            cases.append((f"scatter_bn_{mode}", scatter_bn_loss(mode == "train"),
+                          [xs, gamma_s, beta_s, skip_s]))
+
         for name, fn, inputs in cases:
             err = grad_check(fn, inputs, max_samples=48, seed=11)
             worst = max(worst, err)

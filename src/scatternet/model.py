@@ -234,7 +234,8 @@ class ScatterBlock(Module):
 
     Main path: conv1-bn, scatter-bn, conv1-bn, swish. Skip path: scatter-bn.
     The swish sits before the sum, on the main path only, and there is no
-    activation after the sum.
+    activation after the sum. Each scatter-bn is one scatter_forward node; the
+    skip path's node also adds the main path.
     """
 
     def __init__(self, c_in: int, c_out: int, w1: int, w2: int) -> None:
@@ -252,11 +253,15 @@ class ScatterBlock(Module):
         self.skip_bn = self._add_child("skip_bn", BatchNorm1d(c_out))
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
+        train = mode == "train"
         h = self.conv1.forward(x, mode, self.bn1, act=False)
-        h = self.bn_mid.forward(scatter_forward(h), mode)
+        bn = self.bn_mid
+        h = scatter_forward(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
+                            training=train)
         h = self.conv2.forward(h, mode, self.bn2)
-        skip = self.skip_bn.forward(scatter_forward(x), mode)
-        return T.add(h, skip)
+        bn = self.skip_bn
+        return scatter_forward(x, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
+                               training=train, skip=h)
 
 
 class AttentionBlock(Module):
@@ -309,8 +314,10 @@ class AttentionBlock(Module):
             return T.transpose(h, (0, 2, 1, 3))      # (B, H, T, dh)
 
         q, k, v = split(self.q), split(self.k), split(self.v)
-        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-        weights = T.softmax(scores, axis=-1)
+        # the scores are not named, so without a graph they are freed as soon
+        # as softmax has made the weights
+        weights = T.softmax(T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
+                                  1.0 / math.sqrt(dh)), axis=-1)
         ctx = T.matmul(weights, v)                   # (B, H, T, dh)
         ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b * t_len, c))
         proj = T.reshape(self.out.forward(ctx, "eval"), (b, t_len, c))

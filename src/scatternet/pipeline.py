@@ -303,22 +303,25 @@ def synthetic_weight_matrix(n_classes: int) -> WeightMatrix:
 
 
 def write_dataset(path, records: list[Record], wm: WeightMatrix) -> None:
-    os.makedirs(path, exist_ok=True)
-    for rec in records:
-        manifest = {
-            "id": rec.id,
-            "fs": rec.fs,
-            "n_samples": int(rec.signal.shape[1]),
-            "leads": N_LEADS,
-            "labels": list(rec.labels),
-            "age": rec.age,
-            "sex": rec.sex,
-        }
-        with open(os.path.join(path, f"{rec.id}.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, sort_keys=True)
-        blob = np.ascontiguousarray(rec.signal, dtype="<f4")
-        blob.tofile(os.path.join(path, f"{rec.id}.f32"))
-    save_weight_matrix(os.path.join(path, "classes.csv"), wm)
+    try:
+        os.makedirs(path, exist_ok=True)
+        for rec in records:
+            manifest = {
+                "id": rec.id,
+                "fs": rec.fs,
+                "n_samples": int(rec.signal.shape[1]),
+                "leads": N_LEADS,
+                "labels": list(rec.labels),
+                "age": rec.age,
+                "sex": rec.sex,
+            }
+            with open(os.path.join(path, f"{rec.id}.json"), "w", encoding="utf-8") as fh:
+                json.dump(manifest, fh, sort_keys=True)
+            blob = np.ascontiguousarray(rec.signal, dtype="<f4")
+            blob.tofile(os.path.join(path, f"{rec.id}.f32"))
+        save_weight_matrix(os.path.join(path, "classes.csv"), wm)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def is_finite_number(value) -> bool:

@@ -385,9 +385,10 @@ def swish(x) -> Tensor:
 
 def softmax(x, axis: int = -1) -> Tensor:
     x = _coerce(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    # x - max, exp and the division in one array
+    data = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=axis, keepdims=True)
 
     def backward(g):
         if x.requires_grad:
@@ -633,7 +634,7 @@ def _conv_backward(g: np.ndarray, x: Tensor, w: Tensor, bias: Tensor | None,
                    xp: np.ndarray, stride: int, padding: int) -> None:
     """Accumulate conv1d's bias, w and x gradients for the output gradient g."""
     co, ci, k = w.data.shape
-    bsz, _, l_in = x.data.shape
+    bsz = x.data.shape[0]
     l_out = g.shape[2]
     if bias is not None and bias.requires_grad:
         bias._accumulate(g.sum(axis=(0, 2)))
@@ -657,21 +658,32 @@ def _conv_backward(g: np.ndarray, x: Tensor, w: Tensor, bias: Tensor | None,
                         ).reshape(co, ci, k)
         w._accumulate_fresh(gw)
     if x.requires_grad:
-        # dwin (B, Ci, K, L_out) = tensordot(w, g, ([0], [1])), then one
-        # strided add per tap, in tap order, undoes the window view. Taps
-        # that land in the padding are left out, so each element of x
-        # sums the same terms in the same order as on a padded copy.
-        dwin = np.dot(w.data.transpose(1, 2, 0).reshape(ci * k, co),
-                      g.transpose(1, 0, 2).reshape(co, -1)
-                      ).reshape(ci, k, bsz, l_out).transpose(2, 0, 1, 3)
-        gx = np.zeros(x.data.shape, dtype=x.data.dtype)
-        for kk in range(k):
-            j0 = max(0, -((kk - padding) // stride))
-            j1 = min(l_out, (l_in - 1 + padding - kk) // stride + 1)
-            if j1 > j0:
-                s = kk - padding + stride * j0
-                gx[:, :, s:s + stride * (j1 - j0):stride] += dwin[:, :, kk, j0:j1]
-        x._accumulate_fresh(gx)
+        x._accumulate_fresh(_conv_grad_x(g, w.data, x.data, stride, padding))
+
+
+def _conv_grad_x(g: np.ndarray, w: np.ndarray, x: np.ndarray, stride: int,
+                 padding: int) -> np.ndarray:
+    """conv1d's x gradient, in x's shape and dtype, as a new array.
+
+    dwin (B, Ci, K, L_out) = tensordot(w, g, ([0], [1])), then one strided
+    add per tap, in tap order, undoes the window view. Taps that land in the
+    padding are left out, so each element of x sums the same terms in the
+    same order as on a padded copy.
+    """
+    co, ci, k = w.shape
+    bsz, _, l_in = x.shape
+    l_out = g.shape[2]
+    dwin = np.dot(w.transpose(1, 2, 0).reshape(ci * k, co),
+                  g.transpose(1, 0, 2).reshape(co, -1)
+                  ).reshape(ci, k, bsz, l_out).transpose(2, 0, 1, 3)
+    gx = np.zeros(x.shape, dtype=x.dtype)
+    for kk in range(k):
+        j0 = max(0, -((kk - padding) // stride))
+        j1 = min(l_out, (l_in - 1 + padding - kk) // stride + 1)
+        if j1 > j0:
+            s = kk - padding + stride * j0
+            gx[:, :, s:s + stride * (j1 - j0):stride] += dwin[:, :, kk, j0:j1]
+    return gx
 
 
 def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:

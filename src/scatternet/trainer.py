@@ -320,6 +320,24 @@ def _manifest_problem(manifest) -> str | None:
     return None
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str, **open_args):
+    """Open a temporary file beside ``path`` and rename it onto ``path`` when
+    the block ends. On any error the temporary file is removed and whatever
+    was at ``path`` stays; an OSError becomes DataError("cannot write ...")."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_args) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {path}: {exc}") from exc
+        raise
+
+
 @dataclass
 class Checkpoint:
     manifest: dict
@@ -373,23 +391,16 @@ class Checkpoint:
         return cls(manifest=manifest, arrays=arrays)
 
     def save(self, path) -> None:
-        """Write to a temporary file beside ``path``, then rename it onto
-        ``path``: a failed save leaves whatever was there untouched."""
+        """Write atomically (see atomic_write): a failed save leaves whatever
+        was there untouched."""
         blob = json.dumps(self.manifest, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
-        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(_MAGIC)
-                fh.write(struct.pack("<Q", len(blob)))
-                fh.write(blob)
-                for entry in self.manifest["index"]:
-                    fh.write(self.arrays[self._key(entry["kind"], entry["name"])].tobytes())
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-            raise
+        with atomic_write(path, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for entry in self.manifest["index"]:
+                fh.write(self.arrays[self._key(entry["kind"], entry["name"])].tobytes())
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
@@ -569,6 +580,8 @@ def train(cfg: TrainConfig, dataset: tuple[list[Record], WeightMatrix] | None = 
     ``dataset`` bypasses directory loading for in-process callers. The
     checkpoint is also written to ``cfg.out`` when that path is set.
     """
+    if cfg.out and os.path.isdir(cfg.out):
+        raise DataError(f"cannot write {cfg.out}: it is a directory")
     engine.seed(cfg.seed)
     if dataset is None:
         records, wm = load_dataset(cfg.data)
@@ -650,7 +663,9 @@ def train(cfg: TrainConfig, dataset: tuple[list[Record], WeightMatrix] | None = 
         best_state["adam_t"])
     ckpt.history = history
     if cfg.out:
-        out_dir = os.path.dirname(os.path.abspath(cfg.out))
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(os.path.dirname(os.path.abspath(cfg.out)), exist_ok=True)
+        except OSError as exc:
+            raise DataError(f"cannot write {cfg.out}: {exc}") from exc
         ckpt.save(cfg.out)
     return ckpt

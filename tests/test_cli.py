@@ -404,3 +404,62 @@ class TestWindowConfig:
     def test_min_window_trains(self, capsys, tmp_path, dataset_dir):
         assert self._train(tmp_path, dataset_dir, 449) == 0
         assert "trained variant=baseline epochs=1" in capsys.readouterr().out
+
+
+class TestOutputPaths:
+    """An output path that cannot be written ends in exit 2 with one line."""
+
+    @pytest.fixture(scope="class")
+    def ckpt(self, tmp_path_factory):
+        mcfg = ModelConfig(n_leads=12, n_classes=2, window=512, heads=2,
+                           width_scale=0.25, fc_hidden=8, dropout=0.0)
+        model = build_model(mcfg, "baseline")
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        Checkpoint.from_state(
+            "baseline", mcfg, trainer.TrainConfig(), ("c00", "c01"), epoch=0,
+            best_score=0.0, params=[(n, p.data) for n, p in model.named_parameters()],
+            buffers=model.named_buffers(), moments=[], adam_t=0).save(path)
+        return path
+
+    def _assert_cannot_write(self, capsys, code, path):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}") and err.count("\n") == 1
+
+    def _eval(self, ckpt, dataset_dir, *flags):
+        return main(["eval", "--ckpt", str(ckpt), "--data", str(dataset_dir), *flags])
+
+    def test_train_out_directory_rejected_before_reading_data(self, capsys, tmp_path):
+        # the dataset does not exist: the error shows --out was checked first
+        code = main(["train", "--data", str(tmp_path / "absent"), "--out", str(tmp_path)])
+        self._assert_cannot_write(capsys, code, tmp_path)
+
+    def test_eval_pred_out_in_missing_directory(self, capsys, tmp_path, dataset_dir,
+                                                ckpt):
+        pred = tmp_path / "missing" / "p.csv"
+        self._assert_cannot_write(
+            capsys, self._eval(ckpt, dataset_dir, "--pred-out", str(pred)), pred)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_eval_truth_out_directory(self, capsys, tmp_path, dataset_dir, ckpt):
+        target = tmp_path / "d"
+        target.mkdir()
+        self._assert_cannot_write(
+            capsys, self._eval(ckpt, dataset_dir, "--truth-out", str(target)), target)
+        # the temporary file beside the target is gone, the directory stays
+        assert list(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []
+
+    def test_eval_writes_predictions_atomically(self, tmp_path, dataset_dir, ckpt):
+        pred = tmp_path / "p.csv"
+        assert self._eval(ckpt, dataset_dir, "--pred-out", str(pred)) == 0
+        assert list(tmp_path.iterdir()) == [pred]
+        ids, classes, values = read_prediction_csv(pred)
+        assert classes == ["c00", "c01"] and values.shape == (len(ids), 2)
+
+    def test_synth_out_existing_file(self, capsys, tmp_path):
+        target = tmp_path / "f"
+        target.write_text("keep", encoding="utf-8")
+        code = main(["synth", "--records", "2", "--classes", "2", "--out", str(target)])
+        self._assert_cannot_write(capsys, code, target)
+        assert target.read_text(encoding="utf-8") == "keep"

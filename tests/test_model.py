@@ -2,6 +2,7 @@
 determinism."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,3 +359,30 @@ class TestMinWindow:
         with pytest.raises(WindowTooShort):
             model.forward(Tensor(np.zeros((1, 12, MIN_WINDOW - 1))),
                           Tensor(np.zeros((1, 2))), mode="eval")
+
+
+class TestAttentionMemory:
+    def test_eval_holds_two_scores_sized_arrays_at_most(self):
+        # Without a graph softmax builds the weights in one array and the
+        # scores are freed once it has them. So at any time at most two
+        # (B, H, T, T) arrays are alive (the product and the scaled scores,
+        # then the scores and the weights; before, softmax alone held three
+        # besides the scores). The slack covers the (B, T, C)-sized
+        # projections and transposes and Python objects.
+        engine.seed(11)
+        bsz, c, heads, t_len = 4, 16, 4, 128
+        block = AttentionBlock(c, heads)
+        x = Tensor(np.random.default_rng(7).standard_normal((bsz, c, t_len))
+                   .astype(np.float32))
+        scores_bytes = bsz * heads * t_len * t_len * 4
+        slack = 16 * x.data.nbytes + 64 * 1024
+        with engine.no_grad():
+            tracemalloc.start()
+            try:
+                out = block.forward(x, "eval")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert out.data.shape == x.data.shape
+        assert slack < scores_bytes
+        assert peak < 2 * scores_bytes + slack, (peak, scores_bytes)

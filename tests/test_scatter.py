@@ -1,5 +1,7 @@
 """Scatter layer: filter responses, shape law, equivariance, stability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -159,3 +161,135 @@ class TestGradients:
             return tensor_sum(T.mul(scatter_forward(xx), sel))
 
         assert grad_check(f, [x], max_samples=48, seed=1) < 1e-4
+
+
+def scatter_chain(x):
+    """The composed graph the scatter node replaces: three single-filter
+    conv1d calls, the modulus and the interleave."""
+    fb = filter_bank()
+    dt = engine.dtype()
+    w_phi, w_re, w_im = (Tensor(np.asarray(f, dtype=dt)[None, None, :])
+                         for f in (fb.phi, fb.psi_re, fb.psi_im))
+    b, c, length = x.shape
+    flat = T.reshape(x, (b * c, 1, length))
+    low = T.conv1d(flat, w_phi, stride=2, padding=4)
+    re = T.conv1d(flat, w_re, stride=2, padding=4)
+    im = T.conv1d(flat, w_im, stride=2, padding=4)
+    mod = T.sqrt(T.add(T.add(T.mul(re, re), T.mul(im, im)), EPS_MOD))
+    return T.reshape(T.concat([low, mod], axis=1), (b, 2 * c, low.shape[2]))
+
+
+def scatter_bn_chain(x, gamma, beta, rm, rv, training, skip):
+    """scatter, then batchnorm1d, then the skip add, as separate ops."""
+    h = scatter_chain(x)
+    if gamma is not None:
+        h = T.batchnorm1d(h, gamma, beta, rm, rv, training=training)
+    return h if skip is None else T.add(skip, h)
+
+
+def _node(x, gamma, beta, rm, rv, training, skip):
+    return scatter_forward(x, gamma, beta, rm, rv, training=training, skip=skip)
+
+
+class TestScatterNode:
+    """scatter_forward with batchnorm and the skip add folded in gives the
+    composed chain's output, gradients and running arrays bit for bit."""
+
+    # (B, C, L, block bytes, zeros): None keeps the module's block size; 600
+    # and 1100 bytes cut the (B*C) fold into several row blocks with a short
+    # last one (and the recorded conv into several blocks); zeros puts +0
+    # and -0 into the input, with one channel all -0.
+    GEOMETRIES = [(2, 3, 41, None, False), (3, 2, 2, None, False),
+                  (1, 1, 17, None, False), (3, 3, 41, 600, False),
+                  (5, 2, 32, 1100, True), (2, 2, 20, None, True)]
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_matches_chain_bitwise(self, monkeypatch, geometry, training, record,
+                                   precision):
+        bsz, c, length, block_bytes, zeros = geometry
+        if block_bytes is not None:
+            monkeypatch.setattr(T, "_BLOCK_BYTES", block_bytes)
+        engine.set_precision(precision)
+        dt = engine.dtype()
+        rng = np.random.default_rng(40)
+        x_data = rng.standard_normal((bsz, c, length)) * 2
+        if zeros:
+            x_data[:, :, ::3] = 0.0
+            x_data[:, :, 1::3] *= -0.0
+            x_data[:, -1] = -0.0
+        shape = (bsz, 2 * c, (length + 1) // 2)
+        params = {"gamma": rng.random(2 * c) + 0.5,
+                  "beta": rng.standard_normal(2 * c) * 0.2}
+        skip_data = rng.standard_normal(shape) * 3
+        g = rng.standard_normal(shape).astype(dt)
+        rm0 = rng.standard_normal(2 * c).astype(dt)
+        rv0 = (rng.random(2 * c) + 0.1).astype(dt)
+        for with_bn in (False, True):
+            for with_skip in (False, True):
+                results = []
+                for op in (_node, scatter_bn_chain):
+                    x = Tensor(x_data, requires_grad=True)
+                    ts = {n: Tensor(a, requires_grad=True) for n, a in params.items()}
+                    gamma, beta = (ts["gamma"], ts["beta"]) if with_bn else (None, None)
+                    skip = Tensor(skip_data, requires_grad=True) if with_skip else None
+                    rm, rv = rm0.copy(), rv0.copy()
+                    if record:
+                        out = op(x, gamma, beta, rm, rv, training, skip)
+                        # backward must use the statistics the forward saw
+                        rm += 1.0
+                        rv *= 3.0
+                        out.backward(g)
+                    else:
+                        with engine.no_grad():
+                            out = op(x, gamma, beta, rm, rv, training, skip)
+                    grads = [x.grad] + [t.grad for t in ts.values()]
+                    if skip is not None:
+                        grads.append(skip.grad)
+                    results.append([out.data, rm, rv] + grads)
+                case = (with_bn, with_skip)
+                for i, (got, want) in enumerate(zip(*results)):
+                    if want is None:
+                        assert got is None, (case, i)
+                        continue
+                    assert got.dtype == want.dtype, (case, i)
+                    assert got.shape == want.shape, (case, i)
+                    assert got.tobytes() == want.tobytes(), (case, i)
+
+    def test_skip_shape_mismatch(self):
+        with pytest.raises(ShapeError, match="skip"):
+            scatter_forward(Tensor(np.zeros((2, 3, 8))), skip=Tensor(np.zeros((2, 6, 5))))
+
+    def test_gamma_shape_checked(self):
+        with pytest.raises(ShapeError):
+            scatter_forward(Tensor(np.zeros((2, 3, 8))), np.ones(3), np.zeros(3),
+                            np.zeros(3), np.ones(3))
+
+    def test_eval_allocates_only_its_result(self):
+        # In eval without a graph each row block takes the stacked taps, the
+        # modulus, batchnorm and the skip add in cache: besides its result
+        # the call holds one block's phase copies, conv output, accumulator
+        # and product, not a second output-sized array.
+        rng = np.random.default_rng(41)
+        x = Tensor(rng.standard_normal((8, 16, 4096)).astype(np.float32))
+        gamma, beta = (Tensor(rng.standard_normal(32).astype(np.float32))
+                       for _ in range(2))
+        rm = rng.standard_normal(32).astype(np.float32)
+        rv = (rng.random(32) + 0.1).astype(np.float32)
+        skip = Tensor(rng.standard_normal((8, 32, 2048)).astype(np.float32))
+        out_bytes = skip.data.nbytes
+        # phases under one block, conv output, accumulator and product one
+        # block each; the slack covers numpy's copy buffer, the per-row
+        # batchnorm arrays and Python objects
+        bound = out_bytes + 4 * T._BLOCK_BYTES + 64 * 1024
+        with engine.no_grad():
+            tracemalloc.start()
+            try:
+                out = scatter_forward(x, gamma, beta, rm, rv, training=False, skip=skip)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert out.data.nbytes == out_bytes
+        assert peak < bound, (peak, bound)
