@@ -9,7 +9,6 @@ the SCATTERNET_SEED environment variable overrides both. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import os
 import sys
@@ -19,13 +18,13 @@ import numpy as np
 from . import engine
 from .engine import ConfigError, DataError, NumericalAbort, ShapeError
 from .loss import (discrete_challenge_score, load_weight_matrix,
-                   merged_class_table, predict)
+                   merged_class_table, predict, read_csv_table, write_csv_table)
 from .model import (ModelConfig, build_model, layer_table, parameter_count,
                     tiny_config)
 from .pipeline import (filter_and_split, load_dataset, make_synthetic_dataset,
                        synthetic_weight_matrix, write_dataset)
-from .trainer import (Checkpoint, TrainConfig, atomic_write, config_from_mapping,
-                      evaluate_model, load_config_file, train)
+from .trainer import (Checkpoint, TrainConfig, config_from_mapping, evaluate_model,
+                      load_config_file, train)
 from .wavelets import analyticity_report, filter_bank
 
 _PUBLISHED_COUNTS = {"baseline": 214957, "scatter": 166504}
@@ -111,37 +110,13 @@ def _build_parser() -> _Parser:
 
 
 def write_prediction_csv(path, ids, classes, values) -> None:
-    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + list(classes))
-        for rid, row in zip(ids, values):
-            writer.writerow([rid] + [repr(float(v)) for v in row])
+    write_csv_table(path, "id", ids, classes, values)
 
 
 def read_prediction_csv(path) -> tuple[list[str], list[str], np.ndarray]:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [r for r in csv.reader(fh) if r]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    if len(rows) < 2:
-        raise DataError(f"{path}: no data rows")
-    header = rows[0]
-    has_ids = header and header[0].strip().lower() == "id"
-    classes = [h.strip() for h in (header[1:] if has_ids else header)]
-    ids, values = [], []
-    for i, row in enumerate(rows[1:]):
-        cells = row[1:] if has_ids else row
-        ids.append(row[0] if has_ids else str(i))
-        if len(cells) != len(classes):
-            raise DataError(f"{path} row {i + 1}: expected {len(classes)} values")
-        try:
-            values.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise DataError(f"{path} row {i + 1}: {exc}") from exc
-    return ids, classes, np.asarray(values, dtype=np.float64)
+    """(record ids, classes, values); without an ``id`` corner the rows are
+    numbered from 0."""
+    return read_csv_table(path, "", ("id",), labelled=False)
 
 
 # -- subcommands ---------------------------------------------------------------------

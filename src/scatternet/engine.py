@@ -3,13 +3,15 @@
 One precision setting, one counter-based random generator, one autograd
 switch. Keeping these in a single place is what makes fixed-seed runs
 bit-identical: every stochastic op draws from the stream owned here, in a
-deterministic order, and every array is created in the active dtype.
+deterministic order, and every array is created in the active dtype. The
+error types and the atomic write of checkpoints and CSV files live here too.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import os
 from typing import Iterator
 
 import numpy as np
@@ -121,3 +123,20 @@ def no_grad() -> Iterator[None]:
     finally:
         _state.grad_enabled = old
 
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str, **open_args):
+    """Open a temporary file beside ``path`` and rename it onto ``path`` when
+    the block ends. On any error the temporary file is removed and whatever
+    was at ``path`` stays; an OSError becomes DataError("cannot write ...")."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_args) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {path}: {exc}") from exc
+        raise

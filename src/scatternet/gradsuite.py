@@ -72,14 +72,20 @@ def run_op_checks(verbose: bool = False) -> float:
         gamma = Tensor(rng.random(3) + 0.5, requires_grad=True)
         beta = _t(rng, 3, scale=0.2)
         xb = _t(rng, 4, 3, 6)
+        sel_bn = Tensor(np.arange(72.0).reshape(4, 3, 6))
 
         def bn_loss(*_):
             rm = Tensor(np.zeros(3))
             rv = Tensor(np.ones(3))
             out = batchnorm1d(xb, gamma, beta, rm, rv, training=True)
-            return tensor_sum(T.mul(out, Tensor(np.arange(72.0).reshape(4, 3, 6))))
+            return tensor_sum(T.mul(out, sel_bn))
 
         cases.append(("batchnorm", bn_loss, [xb, gamma, beta]))
+        # eval mode only reads its running arrays
+        stats_b = np.array([0.1, -0.2, 0.3]), np.array([0.5, 1.0, 2.0])
+        cases.append(("batchnorm_eval", lambda *_: tensor_sum(T.mul(
+            batchnorm1d(xb, gamma, beta, *stats_b, training=False), sel_bn)),
+            [xb, gamma, beta]))
 
         xs = _t(rng, 2, 3, 16)
         sel_sc = Tensor(rng.standard_normal((2, 6, 8)))

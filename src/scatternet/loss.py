@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DataError, ShapeError
+from .engine import DataError, ShapeError, atomic_write
 from . import tensor as T
 from .tensor import Tensor
 
@@ -53,46 +53,68 @@ def identity_weight_matrix(labels: list[str] | tuple[str, ...]) -> WeightMatrix:
     return WeightMatrix(tuple(labels), np.eye(len(labels)))
 
 
-def load_weight_matrix(path) -> WeightMatrix:
-    """CSV: header row of class ids, then one row per class (id, rewards...)."""
+def read_csv_table(path, what: str, corners: tuple[str, ...], labelled: bool
+                   ) -> tuple[list[str], list[str], np.ndarray]:
+    """(row labels, column labels, values) of a CSV table of finite floats.
+
+    A first header cell that is one of ``corners`` (stripped, any case)
+    heads a first column of row labels; with ``labelled`` that column is
+    there without it too. Otherwise the rows are labelled "0", "1", ...
+    Empty lines are skipped. DataError names ``what``, the file and a bad
+    row's number from 1.
+    """
+    name = f"{what} {path}" if what else str(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [r for r in csv.reader(fh) if r]
     except OSError as exc:
-        raise DataError(f"cannot read weight matrix {path}: {exc}") from exc
+        raise DataError(f"cannot read {name}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"weight matrix {path}: {exc}") from exc
+        raise DataError(f"{name}: {exc}") from exc
     if len(rows) < 2:
-        raise DataError(f"weight matrix {path} has no data rows")
+        raise DataError(f"{name}: no data rows")
     header = rows[0]
-    if header and header[0].strip().lower() in ("", "class", "classes", "id"):
-        header = header[1:]
-    labels = tuple(h.strip() for h in header)
-    k = len(labels)
-    if len(rows) - 1 != k:
-        raise DataError(f"weight matrix {path}: {k} columns but {len(rows) - 1} rows")
-    values = np.zeros((k, k), dtype=np.float64)
-    row_ids = []
+    if header[0].strip().lower() in corners:
+        header, labelled = header[1:], True
+    columns = [h.strip() for h in header]
+    labels, values = [], np.empty((len(rows) - 1, len(columns)), dtype=np.float64)
     for i, row in enumerate(rows[1:]):
-        if len(row) != k + 1:
-            raise DataError(f"weight matrix {path} row {i + 1}: expected "
-                            f"{k + 1} cells, got {len(row)}")
-        row_ids.append(row[0].strip())
+        labels.append(row[0] if labelled else str(i))
+        cells = row[1:] if labelled else row
+        if len(cells) != len(columns):
+            raise DataError(f"{name} row {i + 1}: expected {len(columns)} values, "
+                            f"got {len(cells)}")
         try:
-            values[i] = [float(v) for v in row[1:]]
+            values[i] = [float(c) for c in cells]
         except ValueError as exc:
-            raise DataError(f"weight matrix {path} row {i + 1}: {exc}") from exc
-    if tuple(row_ids) != labels:
-        raise DataError(f"weight matrix {path}: row order differs from header")
-    return WeightMatrix(labels, values)
+            raise DataError(f"{name} row {i + 1}: {exc}") from exc
+        if not np.isfinite(values[i]).all():
+            raise DataError(f"{name} row {i + 1}: values must be finite")
+    return labels, columns, values
+
+
+def write_csv_table(path, corner: str, labels, columns, values) -> None:
+    """Write the corner cell and the column labels, then one labelled row of
+    repr(float(v)) values per line, atomically (see engine.atomic_write)."""
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([corner] + list(columns))
+        for label, row in zip(labels, values):
+            writer.writerow([label] + [repr(float(v)) for v in row])
+
+
+def load_weight_matrix(path) -> WeightMatrix:
+    """CSV: header row of class ids, then one row per class (id, rewards...)."""
+    row_ids, labels, values = read_csv_table(
+        path, "weight matrix", ("", "class", "classes", "id"), labelled=True)
+    if [r.strip() for r in row_ids] != labels:
+        raise DataError(f"weight matrix {path}: rows must be the header's "
+                        f"{len(labels)} classes in its order, got {len(row_ids)} rows")
+    return WeightMatrix(tuple(labels), values)
 
 
 def save_weight_matrix(path, wm: WeightMatrix) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + list(wm.labels))
-        for label, row in zip(wm.labels, wm.w):
-            writer.writerow([label] + [repr(float(v)) for v in row])
+    write_csv_table(path, "", wm.labels, wm.labels, wm.w)
 
 
 def merge_identical_classes(wm: WeightMatrix,
@@ -202,11 +224,9 @@ def bce(t, p):
 
 def combined_loss(t, p, w):
     """bce - challenge_term, the 1:1 weighted objective (lower is better)."""
-    t_in, p_in = t, p
-    was = isinstance(p, Tensor)
-    b = bce(t_in, p_in)
-    c = challenge_term(t_in, p_in, w)
-    if not was:
+    b = bce(t, p)
+    c = challenge_term(t, p, w)
+    if not isinstance(p, Tensor):
         return float(b - c)
     return T.sub(b, c)
 

@@ -45,6 +45,8 @@ class Tensor:
         out._parents = ()
         out._backward = None
         out.requires_grad = _records(parents)
+        # the closure is kept only when recorded, so a one-input backward can
+        # assume that its input requires grad
         if out.requires_grad:
             out._parents = tuple(parents)
             out._backward = backward
@@ -237,8 +239,7 @@ def log(x) -> Tensor:
     data = np.log(x.data)
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g / x.data)
+        x._accumulate(g / x.data)
 
     return Tensor._result(data, (x,), backward)
 
@@ -248,8 +249,7 @@ def exp(x) -> Tensor:
     data = np.exp(x.data)
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * data)
+        x._accumulate(g * data)
 
     return Tensor._result(data, (x,), backward)
 
@@ -259,8 +259,7 @@ def sqrt(x) -> Tensor:
     data = np.sqrt(x.data)
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * (0.5 / data))
+        x._accumulate(g * (0.5 / data))
 
     return Tensor._result(data, (x,), backward)
 
@@ -276,21 +275,15 @@ def clip(x, lo: float | None, hi: float | None) -> Tensor:
         inside &= x.data <= hi
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * inside)
+        x._accumulate(g * inside)
 
     return Tensor._result(data, (x,), backward)
 
 
 # Byte budget of one block in the blocked forward loops: conv1d's output
-# blocks, and the row blocks of sigmoid, swish and eval-mode batchnorm. A
-# block, its scratch and one input run together stay within a 4 MB L2 cache.
+# blocks, the scatter node's eval rows and sigmoid's and swish's rows. A block,
+# its scratch and one input run together stay within a 4 MB L2 cache.
 _BLOCK_BYTES = 512 * 1024
-
-
-def _rows_per_block(a: np.ndarray) -> int:
-    """Rows along axis 0 that fit in _BLOCK_BYTES; at least one."""
-    return max(1, _BLOCK_BYTES // max(1, a.itemsize * math.prod(a.shape[1:])))
 
 
 def _sigmoid_block(xa: np.ndarray, e: np.ndarray, p: np.ndarray, s: np.ndarray,
@@ -331,7 +324,7 @@ def _sigmoid(a: np.ndarray, sig: np.ndarray | None, prod: np.ndarray | None) -> 
     block takes every pass while it is in cache.
     """
     a = np.atleast_1d(a)
-    step = _rows_per_block(a)
+    step = max(1, _BLOCK_BYTES // max(1, a.itemsize * math.prod(a.shape[1:])))
     ez, pos, num = _sigmoid_scratch((min(step, len(a)),) + a.shape[1:], a.dtype)
     if sig is not None:
         sig = np.atleast_1d(sig)
@@ -361,8 +354,7 @@ def sigmoid(x) -> Tensor:
     _sigmoid(x.data, data, None)
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * data * (1.0 - data))
+        x._accumulate(g * data * (1.0 - data))
 
     return Tensor._result(data, (x,), backward)
 
@@ -377,8 +369,7 @@ def swish(x) -> Tensor:
     _sigmoid(x.data, sig, data)
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate_fresh(_swish_backward(g, x.data, sig))
+        x._accumulate_fresh(_swish_backward(g, x.data, sig))
 
     return Tensor._result(data, (x,), backward)
 
@@ -391,9 +382,8 @@ def softmax(x, axis: int = -1) -> Tensor:
     data /= data.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        if x.requires_grad:
-            inner = (g * data).sum(axis=axis, keepdims=True)
-            x._accumulate(data * (g - inner))
+        inner = (g * data).sum(axis=axis, keepdims=True)
+        x._accumulate(data * (g - inner))
 
     return Tensor._result(data, (x,), backward)
 
@@ -409,8 +399,7 @@ def reshape(x, *shape) -> Tensor:
     data = x.data.reshape(shape)
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g.reshape(old))
+        x._accumulate(g.reshape(old))
 
     return Tensor._result(data, (x,), backward)
 
@@ -424,8 +413,7 @@ def transpose(x, axes: tuple[int, ...] | None = None) -> Tensor:
     inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g.transpose(inverse))
+        x._accumulate(g.transpose(inverse))
 
     return Tensor._result(data, (x,), backward)
 
@@ -452,8 +440,6 @@ def tensor_sum(x, axis=None, keepdims: bool = False) -> Tensor:
     data = x.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if not x.requires_grad:
-            return
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         x._accumulate(np.broadcast_to(g, x.data.shape).copy())
@@ -728,8 +714,6 @@ def maxpool1d(x, kernel: int = 3, stride: int = 2, padding: int = 1) -> Tensor:
         np.maximum(data, xp[:, :, kk:kk + end:stride], out=data)
 
     def backward(g):
-        if not x.requires_grad:
-            return
         arg = _window_view(xp, kernel, stride, l_out).argmax(axis=2)  # first max wins
         gxp = np.zeros_like(xp)
         for kk in range(kernel):
@@ -757,8 +741,6 @@ def adaptive_avgpool1d(x, out_len: int) -> Tensor:
         data[:, :, i] = x.data[:, :, bounds[i]:bounds[i + 1]].mean(axis=2)
 
     def backward(g):
-        if not x.requires_grad:
-            return
         gx = np.zeros_like(x.data)
         for i in range(out_len):
             width = bounds[i + 1] - bounds[i]
@@ -853,9 +835,9 @@ def _bn_eval_stats(rm: np.ndarray, rv: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _bn_eval_block(x: np.ndarray, mean, inv, gamma, beta, xhat: np.ndarray,
                    out: np.ndarray) -> None:
-    """out = gamma * ((x - mean) * inv) + beta over one block, the
-    per-channel arrays already shaped to broadcast against it. ``xhat`` is
-    scratch; x, xhat and out may all be the same array."""
+    """out = gamma * ((x - mean) * inv) + beta over a block or a whole array,
+    the per-channel arrays already shaped to broadcast against it. ``xhat``
+    is scratch; x, xhat and out may all be the same array."""
     np.subtract(x, mean, out=xhat)
     np.multiply(xhat, inv, out=xhat)
     np.multiply(gamma, xhat, out=out)
@@ -886,9 +868,9 @@ def _bn_step(x: np.ndarray, gamma: Tensor, beta: Tensor, rm: np.ndarray,
     Training mode normalizes with batch statistics and updates the running
     arrays in place; the normalized x overwrites x itself when the caller
     owns x and reads it no more. Eval mode uses the running arrays, never
-    writes x and keeps no normalized x (backward recomputes it): it runs
-    over row blocks of at most _BLOCK_BYTES, each taking its four passes
-    while in cache.
+    writes x and keeps no normalized x (backward recomputes it): its four
+    passes run over the whole array, the normalized x written into the
+    output when the two share a dtype.
     """
     if training:
         xhat = x if own_x else np.empty_like(x)
@@ -898,14 +880,9 @@ def _bn_step(x: np.ndarray, gamma: Tensor, beta: Tensor, rm: np.ndarray,
     mean, inv = _bn_eval_stats(rm, rv)
     xhat_dtype = np.result_type(x, mean, inv)
     data = np.empty(x.shape, dtype=np.result_type(gamma.data, xhat_dtype, beta.data))
-    step = _rows_per_block(data)
-    xhat = np.empty((min(step, len(data)),) + data.shape[1:], dtype=xhat_dtype)
-    for r0 in range(0, len(data), step):
-        rows = slice(r0, r0 + step)
-        out = data[rows]
-        _bn_eval_block(x[rows], mean[None, :, None], inv[None, :, None],
-                       gamma.data[None, :, None], beta.data[None, :, None],
-                       xhat[:len(out)], out)
+    xhat = data if data.dtype == xhat_dtype else np.empty(x.shape, dtype=xhat_dtype)
+    _bn_eval_block(x, mean[None, :, None], inv[None, :, None],
+                   gamma.data[None, :, None], beta.data[None, :, None], xhat, data)
     return data, lambda g, need_x: _bn_eval_backward(g, x, mean, inv, gamma, beta,
                                                      need_x)
 
@@ -1022,8 +999,7 @@ def dropout(x, p: float, training: bool) -> Tensor:
         data = x.data
 
         def backward_id(g):
-            if x.requires_grad:
-                x._accumulate(g)
+            x._accumulate(g)
 
         return Tensor._result(data, (x,), backward_id)
 
@@ -1033,8 +1009,7 @@ def dropout(x, p: float, training: bool) -> Tensor:
     data = x.data * mask
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * mask)
+        x._accumulate(g * mask)
 
     return Tensor._result(data, (x,), backward)
 

@@ -11,7 +11,6 @@ and optimizer moments; save/load/save round-trips are byte-identical.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import math
@@ -23,7 +22,7 @@ from itertools import islice
 import numpy as np
 
 from . import engine
-from .engine import ConfigError, DataError, NumericalAbort, ShapeError
+from .engine import ConfigError, DataError, NumericalAbort, ShapeError, atomic_write
 from . import tensor as T
 from .tensor import Tensor
 from .loss import (WeightMatrix, bce, combined_loss, discrete_challenge_score,
@@ -320,24 +319,6 @@ def _manifest_problem(manifest) -> str | None:
     return None
 
 
-@contextlib.contextmanager
-def atomic_write(path, mode: str, **open_args):
-    """Open a temporary file beside ``path`` and rename it onto ``path`` when
-    the block ends. On any error the temporary file is removed and whatever
-    was at ``path`` stays; an OSError becomes DataError("cannot write ...")."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, mode, **open_args) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        if isinstance(exc, OSError):
-            raise DataError(f"cannot write {path}: {exc}") from exc
-        raise
-
-
 @dataclass
 class Checkpoint:
     manifest: dict
@@ -450,7 +431,11 @@ class Checkpoint:
         return ModelConfig(**self.manifest["model"])
 
     def build_model(self) -> Model:
-        model = build_model(self.model_config(), self.manifest["variant"])
+        variant = self.manifest["variant"]
+        try:
+            model = build_model(self.model_config(), variant)
+        except ConfigError as exc:
+            raise DataError(f"checkpoint {variant} model cannot be built: {exc}") from exc
         self.restore_into(model)
         return model
 
@@ -515,7 +500,7 @@ def _eval_windows(model: Model, windows, batch_size: int
             # the windows are a second copy of x that nothing reads from here on
             del chunk
             p = _forward_probs(model, x, aux, "eval")
-            probs.append(p.data.copy())
+            probs.append(p.data)
             truth.append(t)
     return np.concatenate(probs), np.concatenate(truth), ids
 

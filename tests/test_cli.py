@@ -13,6 +13,7 @@ import pytest
 from scatternet import cli, engine, trainer
 from scatternet.cli import main, read_prediction_csv, write_prediction_csv
 from scatternet.engine import DataError
+from scatternet.loss import identity_weight_matrix, save_weight_matrix
 from scatternet.model import ModelConfig, build_model, parameter_count, tiny_config
 from scatternet.pipeline import make_synthetic_dataset, synthetic_weight_matrix, write_dataset
 from scatternet.trainer import Checkpoint
@@ -463,3 +464,121 @@ class TestOutputPaths:
         code = main(["synth", "--records", "2", "--classes", "2", "--out", str(target)])
         self._assert_cannot_write(capsys, code, target)
         assert target.read_text(encoding="utf-8") == "keep"
+
+
+def _write_manifest(path, manifest):
+    blob = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(trainer._MAGIC + struct.pack("<Q", len(blob)) + blob)
+    return path
+
+
+def _assert_one_line_error(capsys, code, want_code, *parts):
+    assert code == want_code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(p in err for p in parts), err
+
+
+class TestCheckpointManifestShape:
+    """Each model value of these manifests passes its own rule, or the
+    manifest is not shaped like one at all: eval exits 2 with one line."""
+
+    def _manifest(self, variant="baseline", **model):
+        return {"version": 1, "variant": variant,
+                "model": {"n_classes": 2, "window": 512, **model},
+                "train_config": {"seed": 0}, "classes": ["c00", "c01"],
+                "epoch": 0, "best_score": 0.0, "adam_step": 0, "index": []}
+
+    def _eval(self, ckpt, dataset_dir):
+        return main(["eval", "--ckpt", str(ckpt), "--data", str(dataset_dir)])
+
+    @pytest.mark.parametrize("variant,model,problem", [
+        ("baseline", {"heads": 5}, "divisible by heads"),
+        ("scatter", {"width_scale": 0.3}, "out = 2*in"),
+    ], ids=["heads-5", "scatter-width-scale-0.3"])
+    def test_model_that_cannot_be_built(self, capsys, tmp_path, dataset_dir, variant,
+                                        model, problem):
+        ckpt = _write_manifest(tmp_path / "bad.ckpt", self._manifest(variant, **model))
+        _assert_one_line_error(capsys, self._eval(ckpt, dataset_dir), 2,
+                               "checkpoint", problem)
+
+    def test_manifest_that_is_a_list(self, capsys, tmp_path, dataset_dir):
+        ckpt = _write_manifest(tmp_path / "bad.ckpt", [self._manifest()])
+        _assert_one_line_error(capsys, self._eval(ckpt, dataset_dir), 2,
+                               "not a JSON object")
+
+    @pytest.mark.parametrize("model", [[1, 2], "tiny", None])
+    def test_model_that_is_not_an_object(self, capsys, tmp_path, dataset_dir, model):
+        manifest = self._manifest()
+        manifest["model"] = model
+        ckpt = _write_manifest(tmp_path / "bad.ckpt", manifest)
+        _assert_one_line_error(capsys, self._eval(ckpt, dataset_dir), 2,
+                               "model is not an object")
+
+
+class TestNonFiniteCsv:
+    """A non-finite cell in the weight matrix, truth or prediction CSV is a
+    data error naming the file and the row (exit 2, one line)."""
+
+    def _files(self, tmp_path):
+        wm = tmp_path / "classes.csv"
+        save_weight_matrix(wm, identity_weight_matrix(["a", "b"]))
+        write_prediction_csv(tmp_path / "t.csv", ["r0", "r1"], ["a", "b"],
+                             np.array([[1.0, 0.0], [0.0, 1.0]]))
+        write_prediction_csv(tmp_path / "p.csv", ["r0", "r1"], ["a", "b"],
+                             np.array([[0.9, 0.1], [0.2, 0.8]]))
+        return wm
+
+    @pytest.mark.parametrize("name,row,cells", [
+        ("classes.csv", 1, "a,inf,0.0"), ("classes.csv", 2, "b,-inf,1.0"),
+        ("t.csv", 1, "r0,nan,0.0"), ("p.csv", 1, "r0,nan,0.1"),
+        ("p.csv", 2, "r1,0.2,inf"),
+    ], ids=["weights-inf-diagonal", "weights-minus-inf", "truth-nan", "pred-nan",
+            "pred-inf"])
+    def test_score_rejects(self, capsys, tmp_path, name, row, cells):
+        wm = self._files(tmp_path)
+        path = tmp_path / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[row] = cells
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["score", "--truth", str(tmp_path / "t.csv"),
+                     "--pred", str(tmp_path / "p.csv"), "--weights", str(wm)])
+        _assert_one_line_error(capsys, code, 2, name, f"row {row}", "finite")
+
+    def test_train_rejects_before_training(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        write_dataset(data, make_synthetic_dataset(4, 2, np.random.default_rng(44)),
+                      synthetic_weight_matrix(2))
+        wm = data / "classes.csv"
+        wm.write_text(wm.read_text(encoding="utf-8").replace("1.0", "inf", 1),
+                      encoding="utf-8")
+        code = main(["train", "--data", str(data), "--epochs", "1"])
+        _assert_one_line_error(capsys, code, 2, "classes.csv", "row 1", "finite")
+
+
+class TestTrainWeightsOverride:
+    def test_trains_on_the_override_classes_and_logs_each_epoch(
+            self, capsys, tmp_path, train_cfg_file):
+        data = tmp_path / "data"
+        write_dataset(data, make_synthetic_dataset(24, 4, np.random.default_rng(45)),
+                      synthetic_weight_matrix(4))
+        weights = tmp_path / "w.csv"
+        save_weight_matrix(weights, identity_weight_matrix(["c00", "c01"]))
+        out = tmp_path / "m.ckpt"
+        assert main(["train", "--data", str(data), "--weights", str(weights),
+                     "--config", str(train_cfg_file), "--epochs", "2", "--verbose",
+                     "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("epoch ") for line in lines) == 2
+        manifest = Checkpoint.load(out).manifest
+        assert manifest["classes"] == ["c00", "c01"]
+        assert manifest["model"]["n_classes"] == 2
+
+
+class TestGradcheckFull:
+    def test_model_check_passes(self, capsys):
+        assert main(["gradcheck", "--full"]) == 0
+        out = capsys.readouterr().out
+        assert "gradcheck batchnorm_eval" in out
+        m = re.search(r"tiny scatter model max rel error: ([0-9.e+-]+)", out)
+        assert m and float(m.group(1)) < 1e-3

@@ -3,13 +3,15 @@ data, and the dataset split."""
 
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
 
 from scatternet import engine
 from scatternet.engine import DataError, ShapeError
-from scatternet.loss import identity_weight_matrix, merge_identical_classes
+from scatternet.loss import (identity_weight_matrix, merge_identical_classes,
+                             save_weight_matrix)
 from scatternet.pipeline import (AugmentConfig, Record, augment, aux_features,
                                  center_crop_pad, disabled_augment,
                                  filter_and_split, load_dataset,
@@ -412,3 +414,36 @@ class TestPreparePiecesAndWindows:
             make_record(np.full((12, 10), np.nan))
         with pytest.raises(DataError):
             make_record(np.zeros((12, 10)), fs=0.0)
+
+
+class TestDatasetDirectory:
+    def _write(self, tmp_path):
+        out = tmp_path / "ds"
+        write_dataset(out, make_synthetic_dataset(2, 2, engine.derived_rng(13, "synth")),
+                      synthetic_weight_matrix(2))
+        return out
+
+    def test_non_json_files_are_ignored(self, tmp_path):
+        out = self._write(tmp_path)
+        (out / "notes.txt").write_text("not a record", encoding="utf-8")
+        records, _ = load_dataset(out)
+        assert len(records) == 2
+
+    def test_manifest_without_age_and_sex(self, tmp_path):
+        out = self._write(tmp_path)
+        path = sorted(out.glob("*.json"))[0]
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        del manifest["age"], manifest["sex"]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        by_id = {r.id: r for r in load_dataset(out)[0]}
+        assert by_id[manifest["id"]].age is None and by_id[manifest["id"]].sex is None
+
+    def test_weight_matrix_written_atomically(self, tmp_path):
+        # a write that fails part way leaves the old file and no temporary
+        path = tmp_path / "classes.csv"
+        path.write_text("keep", encoding="utf-8")
+        broken = types.SimpleNamespace(labels=("a", "b"), w=[[1.0, 0.0], [object(), 1.0]])
+        with pytest.raises(TypeError):
+            save_weight_matrix(path, broken)
+        assert path.read_text(encoding="utf-8") == "keep"
+        assert list(tmp_path.iterdir()) == [path]

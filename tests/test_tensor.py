@@ -558,6 +558,22 @@ class TestBlockedKernelsBitwise:
         assert bt.grad.tobytes() == g.sum(axis=(0, 2)).tobytes()
         assert xt.grad.tobytes() == (g * (gamma * inv)[None, :, None]).tobytes()
 
+    def test_batchnorm_eval_allocates_only_its_result(self):
+        # Without a graph the normalized x is written into the result, so the
+        # call holds no second output-sized array; the slack covers the
+        # per-channel copies and Python objects.
+        x, gamma, beta, rm, rv = self._bn_inputs((8, 64, 4096), 20)
+        with engine.no_grad():
+            tracemalloc.start()
+            try:
+                out = batchnorm1d(Tensor(x), Tensor(gamma), Tensor(beta), rm, rv,
+                                  training=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert out.data.nbytes == x.nbytes
+        assert peak < x.nbytes + 64 * 1024, (peak, x.nbytes)
+
     def test_batchnorm_train(self):
         x, gamma, beta, rm, rv = self._bn_inputs((6, 5, 40), 19)
         mu, var = x.mean(axis=(0, 2)), x.var(axis=(0, 2))
