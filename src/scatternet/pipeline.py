@@ -28,6 +28,9 @@ PIECE_LEN = 10240
 WINDOW_LEN = 5120
 N_LEADS = 12
 EPS_STD = 1e-6
+# Longest record accepted, in 500 Hz sample steps: one hour, above every
+# PhysioNet 2020 record. Longer records are data errors.
+MAX_SPAN_500 = 1_800_000
 
 
 @dataclass
@@ -86,12 +89,19 @@ def disabled_augment() -> AugmentConfig:
 
 
 def resample_to_500(rec: Record) -> Record:
-    """Linear interpolation onto a 500 Hz grid spanning the same duration."""
+    """Linear interpolation onto a 500 Hz grid spanning the same duration.
+
+    A record that lasts longer than MAX_SPAN_500 steps at 500 Hz is a
+    DataError, raised before anything is allocated.
+    """
+    n = rec.signal.shape[1]
+    span = (n - 1) / rec.fs * TARGET_FS
+    if not span <= MAX_SPAN_500:
+        raise DataError(f"record {rec.id}: {n} samples at {rec.fs:g} Hz last "
+                        f"longer than the {MAX_SPAN_500 / TARGET_FS:g} s limit")
     if rec.fs == TARGET_FS:
         return rec
-    n = rec.signal.shape[1]
-    duration = (n - 1) / rec.fs
-    n_out = max(1, int(round(duration * TARGET_FS)) + 1)
+    n_out = max(1, int(round(span)) + 1)
     t_out = np.arange(n_out) / TARGET_FS
     t_in = np.arange(n) / rec.fs
     out = np.empty((N_LEADS, n_out), dtype=np.float32)
@@ -234,10 +244,16 @@ def target_vector(labels: tuple[str, ...], table: dict[str, int], k: int) -> np.
 
 
 def prepare_pieces(records: list[Record]) -> list[Record]:
-    """Resample, split, and normalize; the output pieces feed window cropping."""
+    """Resample, split, and normalize; the output pieces feed window cropping.
+
+    A record with fewer than 2 samples at 500 Hz cannot be normalized and is
+    a DataError."""
     pieces = []
     for rec in records:
         for piece in split_windows(resample_to_500(rec)):
+            if piece.signal.shape[1] < 2:
+                raise DataError(f"record {rec.id}: 1 sample at 500 Hz, "
+                                "normalizing needs 2")
             pieces.append(replace(piece, signal=normalize_arctan(piece.signal)))
     return pieces
 

@@ -3,7 +3,10 @@
 A Tensor wraps an ndarray plus an optional backward closure. Ops build a
 graph; ``backward`` walks it once in reverse topological order and
 accumulates into ``.grad`` (so tensors consumed twice get the sum of both
-contributions). Everything runs in the engine's active precision.
+contributions). A graph is walked once: each node lets go of its closure
+and its parents as the walk reaches it, so the arrays the closures saved
+are freed during the walk, and a second walk raises. Everything runs in the
+engine's active precision.
 
 Only the ops the model family needs are implemented, but each one handles
 the general shapes it advertises, and each differentiable op is covered by
@@ -81,7 +84,14 @@ class Tensor:
             self.grad += g
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Populate ``.grad`` on every reachable tensor with requires_grad."""
+        """Populate ``.grad`` on every reachable tensor with requires_grad.
+
+        The walk frees the graph: before a node's closure runs, the node
+        drops it and its parents, so what the closure saved goes once the
+        node's gradient has been passed on, and nodes that nothing else
+        holds go with it. Every ``.grad`` stays. A graph is walked once;
+        walking it again raises ShapeError and changes no gradient.
+        """
         if not self.requires_grad:
             raise ShapeError("backward on a tensor that requires no grad")
         if grad is None:
@@ -102,6 +112,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _walked:
+                _walked(None)  # raises before any gradient moves
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -109,9 +121,14 @@ class Tensor:
                     stack.append((p, False))
 
         self._accumulate(grad)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while order:
+            node = order.pop()
+            closure = node._backward
+            if closure is None:
+                continue
+            node._backward, node._parents = _walked, ()
+            if node.grad is not None:
+                closure(node.grad)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -156,6 +173,11 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return mean(self, axis=axis, keepdims=keepdims)
+
+
+def _walked(g) -> None:
+    """The backward of a node that a walk has already passed."""
+    raise ShapeError("backward through a graph that was already walked")
 
 
 def _coerce(x) -> Tensor:
@@ -338,11 +360,13 @@ def _sigmoid(a: np.ndarray, sig: np.ndarray | None, prod: np.ndarray | None) -> 
                        None if prod is None else prod[rows])
 
 
-def _swish_backward(g: np.ndarray, x: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """g * (sig + x * sig * (1 - sig)) in a new array, with one temporary
-    besides it and the operands in that order."""
-    gx = np.multiply(x, sig, out=np.empty_like(sig))
-    np.multiply(gx, np.subtract(1.0, sig), out=gx)
+def _swish_backward(g: np.ndarray, out: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """g * (sig + x * sig * (1 - sig)) in a new array and no temporary, from
+    the swish output ``out``: the forward wrote out = x * sig with the same
+    multiply, so out * (1 - sig) has the bits of x * sig * (1 - sig)."""
+    # out= keeps a 0-d result an array that the steps below can write into
+    gx = np.subtract(1.0, sig, out=np.empty_like(sig))
+    np.multiply(out, gx, out=gx)
     np.add(sig, gx, out=gx)
     np.multiply(g, gx, out=gx)
     return gx
@@ -369,7 +393,7 @@ def swish(x) -> Tensor:
     _sigmoid(x.data, sig, data)
 
     def backward(g):
-        x._accumulate_fresh(_swish_backward(g, x.data, sig))
+        x._accumulate_fresh(_swish_backward(g, data, sig))
 
     return Tensor._result(data, (x,), backward)
 
@@ -968,17 +992,17 @@ def conv_bn_act(x, w, b, gamma, beta, running_mean: np.ndarray,
     data, bn_backward = _bn_step(y, gamma, beta, rm, rv, training, own_x=True)
     if skip is not None:
         np.add(skip.data, data, out=data)
-    pre = sig = None
+    sig = None
     if act:
-        pre, data = data, np.empty_like(data)
+        # the swish writes over its input, which backward no longer reads
         sig = np.empty_like(data) if record else None
-        _sigmoid(pre, sig, data)
+        _sigmoid(data, sig, data)
     conv_grad = x.requires_grad or w.requires_grad or (
         bias is not None and bias.requires_grad)
 
     def backward(g):
         if act:
-            g = _swish_backward(g, pre, sig)
+            g = _swish_backward(g, data, sig)
         if skip is not None and skip.requires_grad:
             # a swish gradient is a new array this node no longer writes;
             # the node's own gradient must be copied

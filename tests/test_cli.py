@@ -582,3 +582,16 @@ class TestGradcheckFull:
         assert "gradcheck batchnorm_eval" in out
         m = re.search(r"tiny scatter model max rel error: ([0-9.e+-]+)", out)
         assert m and float(m.group(1)) < 1e-3
+
+
+class TestRecordLengthCap:
+    def test_train_on_a_record_over_an_hour_exits_2(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        write_dataset(data, make_synthetic_dataset(12, 2, np.random.default_rng(46)),
+                      synthetic_weight_matrix(2))
+        for path in data.glob("*.json"):
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+            manifest["fs"] = 1e-300
+            path.write_text(json.dumps(manifest), encoding="utf-8")
+        code = main(["train", "--data", str(data), "--epochs", "1"])
+        _assert_one_line_error(capsys, code, 2, "record syn", "3600 s limit")

@@ -14,7 +14,7 @@ from scatternet import engine
 from scatternet.cli import main, read_prediction_csv
 from scatternet.engine import ConfigError, DataError
 from scatternet.loss import identity_weight_matrix, load_weight_matrix, save_weight_matrix
-from scatternet.pipeline import (load_dataset, make_synthetic_dataset,
+from scatternet.pipeline import (load_dataset, make_synthetic_dataset, prepare_pieces,
                                  synthetic_weight_matrix, write_dataset)
 from scatternet.trainer import config_from_mapping, load_config_file
 
@@ -169,3 +169,26 @@ class TestOneLineExit:
         path.write_text(json.dumps(manifest), encoding="utf-8")
         code, err = self._run_train(capsys, ds)
         assert code == 2 and path.name in err and repr(key) in err
+
+
+class TestSampleRateFuzz:
+    @FUZZ
+    @given(fs=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           n_samples=st.integers(1, 2000))
+    def test_any_positive_rate_gives_pieces_or_a_data_error(self, tmp_path, valid_dataset,
+                                                            fs, n_samples):
+        ds = _copy_dataset(valid_dataset, tmp_path / "ds")
+        path = sorted(ds.glob("*.json"))[0]
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest.update(fs=fs, n_samples=n_samples)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        signal = np.random.default_rng(n_samples).standard_normal((12, n_samples))
+        signal.astype("<f4").tofile(ds / f"{manifest['id']}.f32")
+        records, _ = load_dataset(ds)
+        try:
+            pieces = prepare_pieces(records)
+        except DataError as exc:
+            assert str(exc).startswith(f"record {manifest['id']}: ")
+            assert "\n" not in str(exc)
+            return
+        assert all(p.fs == 500.0 and np.isfinite(p.signal).all() for p in pieces)

@@ -3,12 +3,13 @@ data, and the dataset split."""
 
 import dataclasses
 import json
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 
-from scatternet import engine
+from scatternet import engine, pipeline
 from scatternet.engine import DataError, ShapeError
 from scatternet.loss import (identity_weight_matrix, merge_identical_classes,
                              save_weight_matrix)
@@ -447,3 +448,43 @@ class TestDatasetDirectory:
             save_weight_matrix(path, broken)
         assert path.read_text(encoding="utf-8") == "keep"
         assert list(tmp_path.iterdir()) == [path]
+
+
+class TestRecordLengthCap:
+    """A record longer than one hour at 500 Hz is a data error, raised
+    before resample_to_500 allocates anything."""
+
+    def test_cap_is_one_hour_at_500(self):
+        assert pipeline.MAX_SPAN_500 == 3600 * 500
+
+    @pytest.mark.parametrize("fs", [1e-300, 5e-324, 0.001])
+    def test_tiny_rate_is_a_data_error(self, fs):
+        rec = make_record(np.zeros((12, 10)), fs=fs, rec_id="slow")
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="^record slow: .*3600 s limit$"):
+                resample_to_500(rec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "MAX_SPAN_500", 1000)
+        # 500 steps at 250 Hz are 1000 steps at 500 Hz
+        assert resample_to_500(make_record(np.zeros((12, 501)), fs=250.0)
+                               ).signal.shape == (12, 1001)
+        with pytest.raises(DataError, match="^record r0: "):
+            resample_to_500(make_record(np.zeros((12, 502)), fs=250.0))
+        # a record already at 500 Hz is held to the same limit
+        assert resample_to_500(make_record(np.zeros((12, 1001)))).signal.shape == (12, 1001)
+        with pytest.raises(DataError, match="^record r0: "):
+            prepare_pieces([make_record(np.zeros((12, 1002)))])
+
+
+class TestTooShortToNormalize:
+    @pytest.mark.parametrize("fs,n", [(500.0, 1), (1e300, 10)])
+    def test_one_sample_at_500_is_a_data_error(self, fs, n):
+        rec = make_record(np.ones((12, n)), fs=fs, rec_id="short")
+        with pytest.raises(DataError, match="^record short: 1 sample at 500 Hz"):
+            prepare_pieces([rec])

@@ -2,6 +2,7 @@
 central differences."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -927,3 +928,55 @@ class TestConvBnAct:
                 tracemalloc.stop()
         assert out.data.nbytes == out_bytes
         assert peak < bound, (peak, bound)
+
+
+class TestGraphFreedByBackward:
+    """backward walks a graph once and frees it as it goes."""
+
+    def _graph(self):
+        rng = np.random.default_rng(40)
+        x = Tensor(rng.standard_normal((2, 3, 16)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 3)).astype(np.float32), requires_grad=True)
+        h = swish(conv1d(x, w, padding=1))
+        return x, w, h, tensor_sum(T.mul(h, h))
+
+    def test_second_walk_raises_and_moves_no_grad(self):
+        x, w, h, loss = self._graph()
+        loss.backward()
+        before = [t.grad.copy() for t in (x, w, h, loss)]
+        with pytest.raises(ShapeError, match="already walked"):
+            loss.backward()
+        # a new graph that reaches a walked node raises before it moves a gradient
+        with pytest.raises(ShapeError, match="already walked"):
+            tensor_sum(T.mul(h, h)).backward()
+        for got, want in zip((x.grad, w.grad, h.grad, loss.grad), before):
+            assert got.tobytes() == want.tobytes()
+
+    def test_inner_activation_is_freed_by_the_walk(self):
+        x, w, h, loss = self._graph()
+        activation = weakref.ref(h.data)
+        del h
+        loss.backward()
+        assert activation() is None
+        assert x.grad is not None and w.grad is not None
+
+    def test_recorded_conv_bn_act_holds_three_output_arrays(self):
+        # After a recorded training forward the node holds the normalized
+        # conv output, the sigmoid and its output, not also the pre-activation.
+        # k = 1 without padding reads x in place; the slack covers the
+        # per-channel statistics and Python objects.
+        rng = np.random.default_rng(41)
+        x = Tensor(rng.standard_normal((8, 4, 4096)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((64, 4, 1)).astype(np.float32), requires_grad=True)
+        gamma = Tensor(np.ones(64, dtype=np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(64, dtype=np.float32), requires_grad=True)
+        rm, rv = np.zeros(64, dtype=np.float32), np.ones(64, dtype=np.float32)
+        out_bytes = 8 * 64 * 4096 * 4
+        tracemalloc.start()
+        try:
+            out = T.conv_bn_act(x, w, None, gamma, beta, rm, rv, training=True)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes == out_bytes
+        assert 3 * out_bytes <= held < 3 * out_bytes + 64 * 1024, (held, out_bytes)
