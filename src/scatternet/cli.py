@@ -155,6 +155,8 @@ def _cmd_eval(args) -> int:
     splits = filter_and_split(records, merged,
                               seed=ckpt.manifest["train_config"]["seed"])
     chosen = splits[args.split]
+    # the scored split is all that is read from here on
+    del records, splits
     if not chosen:
         raise DataError(f"split {args.split!r} is empty")
     result = evaluate_model(ckpt.build_model(), chosen, wm,

@@ -15,6 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -145,9 +146,11 @@ def normalize_arctan(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float32)
     if x.ndim != 2 or x.shape[1] < 2:
         raise ShapeError("normalize_arctan expects (leads, L >= 2)")
-    mean = x.mean(axis=1, keepdims=True)
-    std = np.maximum(x.std(axis=1, keepdims=True), EPS_STD)
-    return np.arctan((x - mean) / std).astype(np.float32)
+    # the steps and roundings of x.std, with its mean taken once
+    d = x - x.mean(axis=1, keepdims=True)
+    var = np.add.reduce(d * d, axis=1, keepdims=True) / x.shape[1]
+    d /= np.maximum(np.sqrt(var), EPS_STD)
+    return np.arctan(d, out=d)
 
 
 def _pad_centered(x: np.ndarray, out_len: int) -> np.ndarray:
@@ -243,8 +246,10 @@ def target_vector(labels: tuple[str, ...], table: dict[str, int], k: int) -> np.
     return t
 
 
-def prepare_pieces(records: list[Record]) -> list[Record]:
+def prepare_pieces(records: Iterable[Record]) -> list[Record]:
     """Resample, split, and normalize; the output pieces feed window cropping.
+    Records are taken one at a time, so an iterator that lets each go as it
+    is handed on frees it once its pieces exist.
 
     A record with fewer than 2 samples at 500 Hz cannot be normalized and is
     a DataError."""

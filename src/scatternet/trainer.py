@@ -18,6 +18,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -558,12 +559,26 @@ def _snapshot(model: Model, adam: Adam) -> dict:
     }
 
 
+def _drained(items: list) -> Iterator:
+    """The items of ``items`` in order; each slot is cleared as its item is
+    handed on, so the list no longer keeps what the consumer lets go."""
+    for i in range(len(items)):
+        item, items[i] = items[i], None
+        yield item
+
+
 def train(cfg: TrainConfig, dataset: tuple[list[Record], WeightMatrix] | None = None
           ) -> Checkpoint:
     """Full training run; returns the best-validation-score checkpoint.
 
-    ``dataset`` bypasses directory loading for in-process callers. The
-    checkpoint is also written to ``cfg.out`` when that path is set.
+    ``dataset`` bypasses directory loading for in-process callers; their
+    list and records are left as they were. The checkpoint is also written
+    to ``cfg.out`` when that path is set.
+
+    The run holds the train pieces and the val records, and nothing else of
+    the data: the holdout and unscored records go once the split is made,
+    and each raw train record goes as soon as its pieces exist, so the
+    train split is never held twice.
     """
     if cfg.out and os.path.isdir(cfg.out):
         raise DataError(f"cannot write {cfg.out}: it is a directory")
@@ -576,10 +591,14 @@ def train(cfg: TrainConfig, dataset: tuple[list[Record], WeightMatrix] | None = 
         wm = load_weight_matrix(cfg.weights)
     merged, table = merged_class_table(wm)
     splits = filter_and_split(records, merged, seed=cfg.seed)
-    if not splits["train"] or not splits["val"]:
+    train_split, val_records = splits["train"], splits["val"]
+    # only the train pieces and the val records are read from here on; the
+    # splits are new lists, so a caller's list is not touched
+    del records, splits
+    if not train_split or not val_records:
         raise DataError("train/val splits must be nonempty")
 
-    train_pieces = prepare_pieces(splits["train"])
+    train_pieces = prepare_pieces(_drained(train_split))
     mcfg = cfg.model_config(merged.k)
     model = build_model(mcfg, cfg.variant)
     adam = Adam(model.named_parameters(), cfg.beta1, cfg.beta2, cfg.eps)
@@ -623,7 +642,7 @@ def train(cfg: TrainConfig, dataset: tuple[list[Record], WeightMatrix] | None = 
 
         train_loss = float(np.mean(losses))
         lr_now = lr_schedule_step(sched, train_loss)
-        val = evaluate_model(model, splits["val"], merged,
+        val = evaluate_model(model, val_records, merged,
                              threshold=cfg.threshold, batch_size=cfg.batch_size,
                              pooled=cfg.pooled)
         # ties keep the most recent state so continued training is not discarded

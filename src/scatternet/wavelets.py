@@ -19,6 +19,11 @@ import numpy as np
 
 from .engine import ConfigError
 
+# Spectrum lengths computed, checked before anything is allocated. The
+# ratio moves by about 1e-5 per doubling at the longest, and a huge length
+# (say 1e11) cannot be allocated at all.
+MIN_FFT_LEN, MAX_FFT_LEN = 64, 2 ** 16
+
 _PHI = np.array([
     -0.0101100286,
     -0.0345177968,
@@ -85,6 +90,9 @@ def fft(x: np.ndarray) -> np.ndarray:
 
 
 def _centered_spectrum(taps: np.ndarray, center_index: int, fft_len: int) -> np.ndarray:
+    if not MIN_FFT_LEN <= fft_len <= MAX_FFT_LEN:
+        raise ConfigError(f"fft_len must be in [{MIN_FFT_LEN}, {MAX_FFT_LEN}], "
+                          f"got {fft_len}")
     # Rolling the center tap to position 0 removes the linear phase, so the
     # band-pass spectrum comes out real (conjugate symmetry) up to rounding.
     padded = np.zeros(fft_len, dtype=np.complex128)
@@ -104,8 +112,6 @@ def analyticity_report(fb: FilterBank | None = None, fft_len: int = 256) -> dict
     """
     if fb is None:
         fb = filter_bank()
-    if fft_len < 64:
-        raise ConfigError(f"fft_len must be >= 64, got {fft_len}")
     phi_hat = _centered_spectrum(fb.phi.astype(np.complex128), fb.center_index, fft_len)
     psi_hat = _centered_spectrum(fb.psi, fb.center_index, fft_len)
 

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ import pytest
 from scatternet import cli, engine, trainer
 from scatternet.cli import main, read_prediction_csv, write_prediction_csv
 from scatternet.engine import DataError
-from scatternet.loss import identity_weight_matrix, save_weight_matrix
+from scatternet.loss import identity_weight_matrix, merged_class_table, save_weight_matrix
 from scatternet.model import ModelConfig, build_model, parameter_count, tiny_config
-from scatternet.pipeline import make_synthetic_dataset, synthetic_weight_matrix, write_dataset
+from scatternet.pipeline import (filter_and_split, make_synthetic_dataset,
+                                 synthetic_weight_matrix, write_dataset)
 from scatternet.trainer import Checkpoint
 
 
@@ -595,3 +597,50 @@ class TestRecordLengthCap:
             path.write_text(json.dumps(manifest), encoding="utf-8")
         code = main(["train", "--data", str(data), "--epochs", "1"])
         _assert_one_line_error(capsys, code, 2, "record syn", "3600 s limit")
+
+
+class TestEvalHoldsOnlyItsSplit:
+    @pytest.mark.parametrize("split", ["val", "train"])
+    def test_records_outside_the_split_are_dead_during_eval(self, split, tmp_path,
+                                                            monkeypatch, capsys):
+        data = tmp_path / "data"
+        recs = make_synthetic_dataset(24, 2, np.random.default_rng(47))
+        write_dataset(data, recs, synthetic_weight_matrix(2))
+        ckpt = tmp_path / "m.ckpt"
+        trainer.train(trainer.TrainConfig(data=str(data), out=str(ckpt), preset="tiny",
+                                          window=512, batch_size=8, max_steps=1,
+                                          max_epochs=1, seed=2))
+        merged, _ = merged_class_table(synthetic_weight_matrix(2))
+        chosen = {r.id for r in filter_and_split(recs, merged, seed=2)[split]}
+        del recs
+        refs = {}
+        load, evaluate = cli.load_dataset, cli.evaluate_model
+
+        def recording_load(path):
+            records, wm = load(path)
+            refs.update((r.id, weakref.ref(r.signal)) for r in records)
+            return records, wm
+
+        alive = {}
+
+        def checking_evaluate(*args, **kwargs):
+            alive.update((rid, ref() is not None) for rid, ref in refs.items())
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_dataset", recording_load)
+        monkeypatch.setattr(cli, "evaluate_model", checking_evaluate)
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                     "--split", split]) == 0
+        assert len(alive) == 24 and chosen
+        assert {rid for rid, a in alive.items() if a} == chosen
+
+
+class TestDoctorFftLenBound:
+    @pytest.mark.parametrize("fft_len", [str(2 ** 17), "100000000000"])
+    def test_too_long_exits_1_with_one_line(self, fft_len, capsys):
+        _assert_one_line_error(capsys, main(["doctor", "--fft-len", fft_len]), 1,
+                               "fft_len must be in [64, 65536]")
+
+    def test_longest_accepted(self, capsys):
+        assert main(["doctor", "--fft-len", str(2 ** 16)]) == 0
+        assert "fft_len: 65536" in capsys.readouterr().out

@@ -143,6 +143,56 @@ class TestNormalize:
             normalize_arctan(np.zeros(100, dtype=np.float32))
 
 
+def normalize_with_std(x):
+    """The formula normalize_arctan computes, written with x.std."""
+    x = np.asarray(x, dtype=np.float32)
+    mean = x.mean(axis=1, keepdims=True)
+    std = np.maximum(x.std(axis=1, keepdims=True), pipeline.EPS_STD)
+    return np.arctan((x - mean) / std).astype(np.float32)
+
+
+class TestNormalizeBytes:
+    """normalize_arctan takes the mean once and writes in place, with the
+    bits of the x.std formula."""
+
+    @staticmethod
+    def _assert_same_bytes(x):
+        want = normalize_with_std(x)
+        before = np.array(x, copy=True)
+        got = normalize_arctan(x)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(x, before)  # the input is not written
+
+    def test_random_leads(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(2, 3000))
+            scale = 10.0 ** rng.uniform(-6, 4)
+            x = rng.normal(rng.uniform(-5, 5), scale, size=(12, n)).astype(np.float32)
+            self._assert_same_bytes(x)
+
+    def test_constant_and_zero_leads(self):
+        x = np.random.default_rng(18).normal(size=(12, 700)).astype(np.float32)
+        x[2] = 3.25
+        x[7] = 0.0
+        self._assert_same_bytes(x)
+        self._assert_same_bytes(np.zeros((12, 50), dtype=np.float32))
+
+    def test_two_sample_leads(self):
+        x = np.random.default_rng(19).normal(size=(12, 2)).astype(np.float32)
+        x[4] = (1.0, 1.0)
+        self._assert_same_bytes(x)
+
+    def test_float64_input(self):
+        self._assert_same_bytes(np.random.default_rng(20).normal(3.0, 7.0, size=(12, 999)))
+
+    def test_strided_view(self):
+        # split_windows hands pieces over as column slices of the record
+        x = np.random.default_rng(21).normal(size=(12, 4000)).astype(np.float32)
+        self._assert_same_bytes(x[:, 1000:3500])
+
+
 class TestCropPad:
     def test_identity_at_target_length(self):
         x = np.random.default_rng(2).standard_normal((12, 5120)).astype(np.float32)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scatternet.engine import ConfigError
-from scatternet.wavelets import (FilterBank, analyticity_report,
+from scatternet.wavelets import (MAX_FFT_LEN, FilterBank, analyticity_report,
                                  centered_psi_spectrum, fft, filter_bank)
 
 
@@ -116,3 +116,20 @@ class TestAnalyticityReport:
         psi_hat = fft(np.concatenate([fb.psi, np.zeros(n - 9)]).astype(complex))
         frame = np.sqrt(np.abs(phi_hat) ** 2 + np.abs(psi_hat) ** 2)
         assert frame.max() <= analyticity_report(fb, fft_len=n)["lipschitz_bound"] + 1e-12
+
+
+class TestFftLenBound:
+    def test_longer_than_max_rejected_before_allocating(self):
+        for fn in (analyticity_report, centered_psi_spectrum):
+            for n in (2 * MAX_FFT_LEN, 100_000_000_000):
+                with pytest.raises(ConfigError, match=f"in \\[64, {MAX_FFT_LEN}\\]"):
+                    fn(fft_len=n)
+
+    def test_short_spectrum_rejected(self):
+        # too short to hold the 9 taps, where numpy raised a ValueError
+        for n in (-4, 0, 8):
+            with pytest.raises(ConfigError, match="fft_len must be in"):
+                centered_psi_spectrum(fft_len=n)
+
+    def test_max_accepted(self):
+        assert centered_psi_spectrum(fft_len=MAX_FFT_LEN).shape == (MAX_FFT_LEN,)
