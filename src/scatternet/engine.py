@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import os
 from typing import Iterator
 
@@ -40,6 +41,11 @@ class DataError(RuntimeError):
 
 class NumericalAbort(RuntimeError):
     """A non-finite value appeared where the math guarantees finite ones."""
+
+
+def is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
 
 
 class _State:

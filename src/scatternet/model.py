@@ -20,7 +20,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import engine
-from .engine import ConfigError, ShapeError
+from .engine import ConfigError, ShapeError, is_finite_number
 from .scatter import scatter_forward
 from . import tensor as T
 from .tensor import Tensor
@@ -35,6 +35,19 @@ _POOL_BINS = 8
 # positions for the pool.
 MIN_WINDOW = 2 ** 6 * (_POOL_BINS - 1) + 1
 
+# What each ModelConfig field must hold, and how to say so. ModelConfig and
+# checkpoint manifests check this one table. Any window length passes here;
+# TrainConfig bounds it by MIN_WINDOW.
+_MODEL_VALUES = {
+    **dict.fromkeys(("n_leads", "n_classes", "window", "heads", "aux_features",
+                     "fc_hidden"),
+                    (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
+                     "an integer >= 1")),
+    "dropout": (lambda v: is_finite_number(v) and 0 <= v < 1, "a number in [0, 1)"),
+    "width_scale": (lambda v: is_finite_number(v) and v > 0, "a finite number > 0"),
+    "pos_encoding": (lambda v: isinstance(v, bool), "a boolean"),
+}
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -47,6 +60,12 @@ class ModelConfig:
     fc_hidden: int = 256
     width_scale: float = 1.0
     pos_encoding: bool = True
+
+    def __post_init__(self) -> None:
+        for name, (valid, what) in _MODEL_VALUES.items():
+            value = getattr(self, name)
+            if not valid(value):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 def tiny_config(n_classes: int = 24) -> ModelConfig:

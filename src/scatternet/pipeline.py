@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from . import engine
-from .engine import DataError, ShapeError
+from .engine import DataError, ShapeError, is_finite_number
 from .loss import WeightMatrix, identity_weight_matrix, load_weight_matrix, \
     save_weight_matrix
 
@@ -343,11 +343,6 @@ def write_dataset(path, records: list[Record], wm: WeightMatrix) -> None:
         save_weight_matrix(os.path.join(path, "classes.csv"), wm)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
-
-
-def is_finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
 
 
 # manifest field -> (check, what the check wants); age and sex may be absent

@@ -306,6 +306,13 @@ def clip(x, lo: float | None, hi: float | None) -> Tensor:
 # blocks, the scatter node's eval rows and sigmoid's and swish's rows. A block,
 # its scratch and one input run together stay within a 4 MB L2 cache.
 _BLOCK_BYTES = 512 * 1024
+# numpy's ufunc buffer size, in elements, while conv1d's tap loop runs. With
+# the default 8192, numpy copies the operands of the per-tap broadcast
+# multiply into its buffer when the rows are shorter than that; with 256 it
+# multiplies each row in place. On this repo's conv shapes 256 was as fast as
+# any size swept (README, "The tap loop and numpy's ufunc buffer").
+# Elementwise results do not depend on it.
+_TAP_BUFSIZE = 256
 
 
 def _sigmoid_block(xa: np.ndarray, e: np.ndarray, p: np.ndarray, s: np.ndarray,
@@ -601,8 +608,11 @@ def _conv_blocks(phases: list[np.ndarray], w: np.ndarray, stride: int, l_out: in
     channel. Each block takes its (ci, k) taps in order from 0, so every
     output element sums its products in the order a plain nested loop would.
     BLAS-backed contractions would reassociate the sum and drift in the last
-    bit; blocking only keeps the per-tap multiply and add in cache. The block
-    is a view of one buffer that the next block overwrites."""
+    bit; blocking only keeps the per-tap multiply and add in cache. The taps
+    run under a ufunc buffer of _TAP_BUFSIZE, and the caller's buffer size is
+    back in place at every yield, so the consumer's reductions chunk as
+    before. The block is a view of one buffer that the next block
+    overwrites."""
     co, ci, k = w.shape
     _, bsz, _ = phases[0].shape
     row_bytes = l_out * phases[0].itemsize
@@ -619,12 +629,16 @@ def _conv_blocks(phases: list[np.ndarray], w: np.ndarray, stride: int, l_out: in
             block = acc[:c1 - c0, :b1 - b0]
             block.fill(0)
             prod = scratch[:c1 - c0, :b1 - b0]
-            for c_in in range(ci):
-                for kk in range(k):
-                    off = kk // stride
-                    run = phases[kk % stride][c_in, b0:b1, off:off + l_out]
-                    np.multiply(w[c0:c1, c_in, kk, None, None], run, out=prod)
-                    block += prod
+            old = np.setbufsize(_TAP_BUFSIZE)
+            try:
+                for c_in in range(ci):
+                    for kk in range(k):
+                        off = kk // stride
+                        run = phases[kk % stride][c_in, b0:b1, off:off + l_out]
+                        np.multiply(w[c0:c1, c_in, kk, None, None], run, out=prod)
+                        block += prod
+            finally:
+                np.setbufsize(old)
             yield c0, c1, b0, b1, block
 
 
@@ -654,7 +668,9 @@ def _conv_backward(g: np.ndarray, x: Tensor, w: Tensor, bias: Tensor | None,
     if w.requires_grad:
         if k == 1:
             xs = xp[:, :, ::stride][:, :, :l_out]
-            if min(bsz, co, ci, l_out) > 1:
+            if min(bsz, ci, l_out) > 1:
+                # with Co = 1 too: einsum drops the size-1 axis and ends in
+                # this (Ci, N) @ (N, 1) product
                 gw = (xs.transpose(1, 0, 2).reshape(ci, -1)
                       @ g.transpose(0, 2, 1).reshape(-1, co)).T[:, :, None]
             else:

@@ -28,10 +28,10 @@ from . import tensor as T
 from .tensor import Tensor
 from .loss import (WeightMatrix, bce, combined_loss, discrete_challenge_score,
                    load_weight_matrix, merged_class_table, predict)
-from .model import (MIN_WINDOW, Model, ModelConfig, build_model, flat_views,
-                    tiny_config)
-from .pipeline import (AugmentConfig, Record, filter_and_split, is_finite_number,
-                       load_dataset, make_window, prepare_pieces)
+from .model import (_MODEL_VALUES, MIN_WINDOW, Model, ModelConfig, build_model,
+                    flat_views, tiny_config)
+from .pipeline import (AugmentConfig, Record, filter_and_split, load_dataset,
+                       make_window, prepare_pieces)
 
 _MAGIC = b"SCTN\x01"
 
@@ -281,16 +281,6 @@ def _valid_index_entry(entry) -> bool:
             and _is_count(entry.get("offset")))
 
 
-# What each ModelConfig field of a manifest must hold, and how to say so.
-_MODEL_VALUES = {
-    **dict.fromkeys(("n_leads", "n_classes", "window", "heads", "aux_features",
-                     "fc_hidden"), (lambda v: _is_count(v) and v >= 1, "an integer >= 1")),
-    "dropout": (lambda v: is_finite_number(v) and 0 <= v < 1, "a number in [0, 1)"),
-    "width_scale": (lambda v: is_finite_number(v) and v > 0, "a finite number > 0"),
-    "pos_encoding": (lambda v: isinstance(v, bool), "a boolean"),
-}
-
-
 def _manifest_problem(manifest) -> str | None:
     """Why a decoded manifest cannot describe a checkpoint, or None."""
     if not isinstance(manifest, dict):
@@ -404,7 +394,9 @@ class Checkpoint:
         problem = _manifest_problem(manifest)
         if problem:
             raise DataError(f"{path}: corrupt manifest: {problem}")
-        payload = raw[start + blob_len:]
+        # views of the file's bytes, not copies: the arrays are read-only,
+        # and restore_into copies out of them
+        payload = memoryview(raw)[start + blob_len:]
         arrays: dict[str, np.ndarray] = {}
         end = 0
         # the index must tile the payload in order, as save writes it

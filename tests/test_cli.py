@@ -644,3 +644,21 @@ class TestDoctorFftLenBound:
     def test_longest_accepted(self, capsys):
         assert main(["doctor", "--fft-len", str(2 ** 16)]) == 0
         assert "fft_len: 65536" in capsys.readouterr().out
+
+
+class TestModelRuleManifests:
+    """A manifest with any value ModelConfig rejects ends in exit 2 and one
+    line naming the field."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_leads", 0), ("n_classes", -1), ("window", 2.5), ("heads", 0),
+        ("dropout", 1.0), ("aux_features", True), ("fc_hidden", "8"),
+        ("width_scale", "nan"), ("pos_encoding", 1)])
+    def test_each_field(self, capsys, tmp_path, dataset_dir, field, value):
+        manifest = {"version": 1, "variant": "scatter",
+                    "model": {"n_classes": 2, "window": 512, field: value},
+                    "train_config": {"seed": 0}, "classes": ["c00", "c01"],
+                    "epoch": 0, "best_score": 0.0, "adam_step": 0, "index": []}
+        ckpt = _write_manifest(tmp_path / "bad.ckpt", manifest)
+        code = main(["eval", "--ckpt", str(ckpt), "--data", str(dataset_dir)])
+        _assert_one_line_error(capsys, code, 2, "corrupt manifest", f"model.{field}")

@@ -980,3 +980,220 @@ class TestGraphFreedByBackward:
             tracemalloc.stop()
         assert out.data.nbytes == out_bytes
         assert 3 * out_bytes <= held < 3 * out_bytes + 64 * 1024, (held, out_bytes)
+
+
+def conv_blocks_default_buffer(phases, w, stride, l_out):
+    """conv1d's tap loop as it ran under numpy's default ufunc buffer: the same
+    blocks, each taking its (ci, k) taps in order from 0."""
+    co, ci, k = w.shape
+    _, bsz, _ = phases[0].shape
+    row_bytes = l_out * phases[0].itemsize
+    if bsz * row_bytes <= T._BLOCK_BYTES:
+        c_step, b_step = min(co, T._BLOCK_BYTES // (bsz * row_bytes)), bsz
+    else:
+        c_step, b_step = 1, max(1, T._BLOCK_BYTES // row_bytes)
+    acc = np.empty((c_step, b_step, l_out), dtype=phases[0].dtype)
+    scratch = np.empty(acc.shape, dtype=np.result_type(acc.dtype, w.dtype))
+    for c0 in range(0, co, c_step):
+        c1 = min(c0 + c_step, co)
+        for b0 in range(0, bsz, b_step):
+            b1 = min(b0 + b_step, bsz)
+            block = acc[:c1 - c0, :b1 - b0]
+            block.fill(0)
+            prod = scratch[:c1 - c0, :b1 - b0]
+            for c_in in range(ci):
+                for kk in range(k):
+                    off = kk // stride
+                    run = phases[kk % stride][c_in, b0:b1, off:off + l_out]
+                    np.multiply(w[c0:c1, c_in, kk, None, None], run, out=prod)
+                    block += prod
+            yield c0, c1, b0, b1, block
+
+
+def conv_into_default_buffer(out, phases, w, bias, stride):
+    for c0, c1, b0, b1, block in conv_blocks_default_buffer(phases, w, stride,
+                                                            out.shape[2]):
+        dst = out[b0:b1, c0:c1]
+        if bias is None:
+            dst[...] = block.transpose(1, 0, 2)
+        else:
+            np.add(block.transpose(1, 0, 2), bias[c0:c1, None], out=dst)
+
+
+# (Ci, Co, K, stride, L_out) of every conv the train-full workload runs, at
+# B = 4: the baseline model, full preset, window 5120
+TRAIN_FULL_CONVS = [
+    (3, 6, 3, 1, 1280), (6, 12, 3, 1, 640), (6, 12, 3, 2, 640), (6, 48, 1, 1, 1280),
+    (12, 24, 3, 1, 320), (12, 24, 3, 2, 320), (12, 24, 7, 2, 2560), (12, 96, 1, 1, 640),
+    (24, 3, 1, 1, 1280), (24, 48, 1, 1, 1280), (24, 48, 3, 1, 160), (24, 48, 3, 2, 160),
+    (24, 192, 1, 1, 320), (48, 3, 1, 1, 1280), (48, 6, 1, 1, 1280), (48, 96, 1, 2, 640),
+    (48, 384, 1, 1, 160), (96, 6, 1, 1, 640), (96, 12, 1, 1, 640), (96, 192, 1, 2, 320),
+    (192, 12, 1, 1, 320), (192, 24, 1, 1, 320), (192, 384, 1, 2, 160),
+    (384, 24, 1, 1, 160), (384, 96, 1, 2, 80)]
+# the eval-full workload's convs (scatter model, full preset) that train-full
+# does not run: the stacked scatter filters (K = 9, stride 2, padding 4) over
+# rows of 160, 320 and 640, and the scatter blocks' own k = 1 convs
+EVAL_FULL_CONVS = [
+    (1, 3, 9, 2, 160), (1, 3, 9, 2, 320), (1, 3, 9, 2, 640), (384, 96, 1, 2, 80)] + [
+    s for s in TRAIN_FULL_CONVS if s[3] == 1]
+
+
+def _conv_case(rng, bsz, ci, co, k, stride, l_out, dtype, specials):
+    """x, w, bias and padding for one conv shape: padding k // 2, and an input
+    length that gives l_out. With ``specials`` some inputs are -0 and inf and
+    some weights -0, so products of -0, inf and nan reach the sums."""
+    padding = k // 2
+    l_in = l_out * stride
+    x = rng.standard_normal((bsz, ci, l_in)).astype(dtype)
+    w = rng.standard_normal((co, ci, k)).astype(dtype)
+    if specials:
+        x.reshape(-1)[::7] = -0.0
+        x.reshape(-1)[3::101] = np.inf
+        x.reshape(-1)[5::103] = -np.inf
+        w.reshape(-1)[::5] = -0.0
+    bias = rng.standard_normal(co).astype(dtype)
+    return x, w, bias, padding
+
+
+class TestTapLoopBuffer:
+    """The tap loop runs under a small ufunc buffer: same bytes as under the
+    default buffer, and the caller's buffer size back at every yield."""
+
+    def _assert_same_output(self, x, w, bias, stride, padding):
+        l_out = (x.shape[2] + 2 * padding - w.shape[2]) // stride + 1
+        phases = T._conv_phases(x, w.shape[2], stride, padding)
+        got = np.empty((x.shape[0], w.shape[0], l_out), dtype=x.dtype)
+        want = np.empty_like(got)
+        with np.errstate(invalid="ignore"):
+            T._conv_into(got, phases, w, bias, stride)
+            conv_into_default_buffer(want, phases, w, bias, stride)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", TRAIN_FULL_CONVS)
+    def test_train_full_convs_bitwise(self, shape):
+        rng = np.random.default_rng(50)
+        ci, co, k, stride, l_out = shape
+        x, w, bias, padding = _conv_case(rng, 4, ci, co, k, stride, l_out,
+                                         np.float32, specials=False)
+        self._assert_same_output(x, w, bias, stride, padding)
+
+    # B = 2: the k = 1 runs (B * L) are 160 to 2560 elements and the k > 1
+    # runs (L) 160 to 1280, on both sides of the 256-element buffer
+    @pytest.mark.parametrize("shape", EVAL_FULL_CONVS)
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_eval_full_convs_bitwise(self, shape, precision):
+        rng = np.random.default_rng(51)
+        ci, co, k, stride, l_out = shape
+        x, w, bias, padding = _conv_case(rng, 2, ci, co, k, stride, l_out,
+                                         np.dtype(precision), specials=False)
+        self._assert_same_output(x, w, None if k == 9 else bias, stride, padding)
+
+    # (B, Ci, Co, K, stride, L_out): padded k = 3, 7 and 9 at both strides,
+    # k = 1 at stride 2, rows shorter and longer than the buffer; 600 and 1100
+    # bytes cut the planes into batch-row blocks with a short last block
+    @pytest.mark.parametrize("shape", [(5, 3, 4, 3, 1, 300), (5, 3, 4, 3, 2, 100),
+                                       (3, 2, 5, 7, 2, 260), (7, 1, 3, 9, 2, 160),
+                                       (4, 6, 5, 1, 2, 70), (3, 4, 2, 9, 1, 513)])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("block_bytes", [600, 1100])
+    @pytest.mark.parametrize("specials", [False, True])
+    def test_block_edges_and_special_values_bitwise(self, monkeypatch, shape,
+                                                    precision, block_bytes,
+                                                    specials):
+        monkeypatch.setattr(T, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(52)
+        bsz, ci, co, k, stride, l_out = shape
+        x, w, bias, padding = _conv_case(rng, bsz, ci, co, k, stride, l_out,
+                                         np.dtype(precision), specials)
+        self._assert_same_output(x, w, bias, stride, padding)
+
+    @staticmethod
+    def _blocks():
+        rng = np.random.default_rng(53)
+        x = rng.standard_normal((3, 4, 300)).astype(np.float32)
+        w = rng.standard_normal((5, 4, 3)).astype(np.float32)
+        return T._conv_blocks(T._conv_phases(x, 3, 1, 1), w, 1, 300)
+
+    @pytest.mark.parametrize("caller", [8192, 4096])
+    def test_caller_buffer_at_every_yield(self, monkeypatch, caller):
+        monkeypatch.setattr(T, "_BLOCK_BYTES", 2000)  # several blocks
+        old = np.setbufsize(caller)
+        try:
+            blocks = 0
+            for _ in self._blocks():
+                assert np.getbufsize() == caller
+                blocks += 1
+            assert blocks > 1
+            assert np.getbufsize() == caller
+        finally:
+            np.setbufsize(old)
+
+    @pytest.mark.parametrize("caller", [8192, 4096])
+    def test_caller_buffer_after_close_and_throw(self, caller):
+        old = np.setbufsize(caller)
+        try:
+            gen = self._blocks()
+            next(gen)
+            gen.close()
+            assert np.getbufsize() == caller
+            gen = self._blocks()
+            next(gen)
+            with pytest.raises(KeyError):
+                gen.throw(KeyError("consumer failed"))
+            assert np.getbufsize() == caller
+        finally:
+            np.setbufsize(old)
+
+    @pytest.mark.parametrize("caller", [8192, 4096])
+    def test_caller_buffer_after_a_failing_tap(self, caller):
+        # a phase one sample short makes the last tap's multiply raise
+        rng = np.random.default_rng(54)
+        phases = [rng.standard_normal((2, 3, 40)).astype(np.float32)]
+        w = rng.standard_normal((4, 2, 3)).astype(np.float32)
+        old = np.setbufsize(caller)
+        try:
+            with pytest.raises(ValueError):
+                next(T._conv_blocks(phases, w, 1, 39))
+            assert np.getbufsize() == caller
+        finally:
+            np.setbufsize(old)
+
+    def test_taps_run_under_the_small_buffer(self, monkeypatch):
+        seen = []
+        multiply = np.multiply
+
+        def spy(*args, **kwargs):
+            seen.append(np.getbufsize())
+            return multiply(*args, **kwargs)
+
+        monkeypatch.setattr(T.np, "multiply", spy)
+        list(self._blocks())
+        monkeypatch.undo()
+        assert seen and set(seen) == {T._TAP_BUFSIZE}
+
+
+class TestCo1WeightGradient:
+    """The k = 1 weight gradient with one output channel is the product that
+    einsum(optimize=True) ends in, with its bits."""
+
+    # (B, Ci, L): the tiny preset's Co = 1 convs, then batch 1 and length 1
+    @pytest.mark.parametrize("bsz,ci,length", [(4, 24, 128), (4, 12, 256), (4, 6, 256),
+                                               (1, 24, 128), (1, 6, 256), (4, 24, 1),
+                                               (4, 6, 1), (1, 12, 1)])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_einsum(self, bsz, ci, length, precision, stride):
+        engine.set_precision(precision)
+        dt = engine.dtype()
+        rng = np.random.default_rng(55)
+        x = rng.standard_normal((bsz, ci, length * stride)).astype(dt)
+        w = rng.standard_normal((1, ci, 1)).astype(dt)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = conv1d(xt, wt, stride=stride)
+        g = rng.standard_normal(out.shape).astype(dt)
+        g.reshape(-1)[::9] = -0.0
+        out.backward(g)
+        xs = x[:, :, ::stride][:, :, :length]
+        want = np.einsum("bol,bcl->oc", g, xs, optimize=True)[:, :, None]
+        assert wt.grad.shape == want.shape
+        assert wt.grad.tobytes() == np.ascontiguousarray(want).tobytes()

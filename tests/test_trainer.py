@@ -958,3 +958,98 @@ class TestTrainHoldsEachRecordOnce:
         from_memory.save(a)
         from_disk.save(b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def load_arrays_reference(path):
+    """Checkpoint.load's arrays as one bytes copy per array, for comparison."""
+    raw = path.read_bytes()
+    start = len(trainer._MAGIC) + 8
+    (blob_len,) = struct.unpack_from("<Q", raw, len(trainer._MAGIC))
+    manifest = json.loads(raw[start:start + blob_len].decode("utf-8"))
+    payload = raw[start + blob_len:]
+    arrays = {}
+    for entry in manifest["index"]:
+        begin = entry["offset"]
+        end = begin + 4 * int(np.prod(entry["shape"]))
+        arrays[f"{entry['kind']}:{entry['name']}"] = np.frombuffer(
+            payload[begin:end], dtype="<f4").reshape(entry["shape"])
+    return arrays
+
+
+class TestCheckpointLoadHoldsFileOnce:
+    """Checkpoint.load views the file's bytes instead of copying them."""
+
+    @pytest.fixture(scope="class")
+    def full_ckpt(self, tmp_path_factory):
+        mcfg = ModelConfig()
+        model = build_model(mcfg, "scatter")
+        opt = Adam(model.named_parameters())
+        rng = np.random.default_rng(60)
+        for _, m, v in opt.moments():
+            m[...] = rng.standard_normal(m.shape)
+            v[...] = rng.random(v.shape)
+        path = tmp_path_factory.mktemp("full") / "full.ckpt"
+        Checkpoint.from_state(
+            "scatter", mcfg, TrainConfig(), tuple(f"c{i:02d}" for i in range(24)),
+            epoch=3, best_score=0.25,
+            params=[(n, p.data) for n, p in model.named_parameters()],
+            buffers=model.named_buffers(), moments=opt.moments(), adam_t=7).save(path)
+        return path
+
+    def test_load_peak_below_one_and_a_half_files(self, full_ckpt):
+        size = full_ckpt.stat().st_size
+        assert size > 4 * 2 ** 20
+        Checkpoint.load(full_ckpt)  # warm the imports and caches
+        tracemalloc.start()
+        try:
+            ckpt = Checkpoint.load(full_ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ckpt.arrays
+        assert peak < 1.5 * size, (peak, size)
+
+    def test_arrays_equal_copies_and_resave_byte_identical(self, full_ckpt, tmp_path):
+        loaded = Checkpoint.load(full_ckpt)
+        want = load_arrays_reference(full_ckpt)
+        assert list(loaded.arrays) == list(want)
+        for key, arr in want.items():
+            got = loaded.arrays[key]
+            assert got.dtype == arr.dtype and got.shape == arr.shape, key
+            assert got.tobytes() == arr.tobytes(), key
+            assert not got.flags.writeable, key
+        again = tmp_path / "again.ckpt"
+        loaded.save(again)
+        assert again.read_bytes() == full_ckpt.read_bytes()
+        Checkpoint.load(again).save(again)
+        assert again.read_bytes() == full_ckpt.read_bytes()
+
+
+# one value per ModelConfig field that its rule rejects
+BAD_MODEL_VALUES = [("n_leads", 0), ("n_classes", -1), ("window", 2.5), ("heads", 0),
+                    ("dropout", 1.0), ("aux_features", True), ("fc_hidden", "8"),
+                    ("width_scale", float("nan")), ("pos_encoding", 1)]
+
+
+class TestModelConfigRules:
+    """ModelConfig enforces the rule table that checkpoint manifests use."""
+
+    def test_one_bad_value_per_field_covers_the_table(self):
+        assert {f for f, _ in BAD_MODEL_VALUES} == set(trainer._MODEL_VALUES)
+
+    @pytest.mark.parametrize("field,value", BAD_MODEL_VALUES)
+    def test_bad_value_is_config_error_naming_field_and_value(self, field, value):
+        with pytest.raises(ConfigError) as info:
+            ModelConfig(**{field: value})
+        message = str(info.value)
+        assert message.startswith(f"{field} must be ") and message.endswith(repr(value))
+
+    def test_any_window_length_builds(self):
+        # only TrainConfig bounds the window by model.MIN_WINDOW
+        assert ModelConfig(window=256).window == 256
+        assert ModelConfig(window=1).window == 1
+
+    def test_presets_pass_and_replace_is_checked(self):
+        assert dataclasses.replace(tiny_config(4), n_classes=2).n_classes == 2
+        with pytest.raises(ConfigError, match="heads must be"):
+            dataclasses.replace(ModelConfig(), heads=-2)
