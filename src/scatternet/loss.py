@@ -172,8 +172,8 @@ def merged_class_table(wm: WeightMatrix) -> tuple[WeightMatrix, dict[str, int]]:
 
 def _as_tensor_pair(t, p) -> tuple[Tensor, Tensor, bool]:
     was_tensor = isinstance(p, Tensor)
-    t = t if isinstance(t, Tensor) else Tensor(np.asarray(t, dtype=np.float64))
-    p = p if isinstance(p, Tensor) else Tensor(np.asarray(p, dtype=np.float64))
+    t = t if isinstance(t, Tensor) else Tensor(t)
+    p = p if isinstance(p, Tensor) else Tensor(p)
     if t.shape != p.shape:
         raise ShapeError(f"t and p shapes differ: {t.shape} vs {p.shape}")
     if t.ndim not in (1, 2):

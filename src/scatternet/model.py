@@ -396,6 +396,8 @@ class Model(Module):
             p.data = view
 
     def forward(self, x: Tensor, aux: Tensor, mode: str = "eval") -> Tensor:
+        if mode not in ("train", "eval"):
+            raise ConfigError(f"mode must be train or eval, got {mode!r}")
         if not isinstance(x, Tensor):
             x = Tensor(x)
         if not isinstance(aux, Tensor):

@@ -587,18 +587,15 @@ def _conv_phases(x: np.ndarray, k: int, stride: int, padding: int) -> list[np.nd
     return phases
 
 
-def _conv_input(x: np.ndarray, k: int, stride: int, padding: int,
-                record: bool) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """The phases of _conv_phases, and what backward reads as the padded
-    input when a graph is recorded: x itself, or with padding a (B, Ci, L + 2p)
-    view of the channel-major padded copy."""
-    phases = _conv_phases(x, k, stride, padding)
-    if not record:
-        return phases, None
-    if not padding:
-        return phases, x
-    xc = phases[0] if stride == 1 else _conv_phases(x, 1, 1, padding)[0]
-    return phases, xc.transpose(1, 0, 2)
+def _pad_time(x: np.ndarray, padding: int, value: float = 0.0) -> np.ndarray:
+    """x (B, C, L) with ``padding`` samples of ``value`` on each side of time,
+    as a (B, C, L + 2p) view of a new channel-major (C, B, L + 2p) array, the
+    layout of _conv_phases' padded copy. Backward rebuilds its padded input
+    with it, so a recorded node keeps x and not a padded copy of it."""
+    bsz, c, l_in = x.shape
+    xp = np.full((c, bsz, l_in + 2 * padding), value, dtype=x.dtype).transpose(1, 0, 2)
+    xp[:, :, padding:padding + l_in] = x
+    return xp
 
 
 def _conv_blocks(phases: list[np.ndarray], w: np.ndarray, stride: int, l_out: int):
@@ -655,7 +652,7 @@ def _conv_into(out: np.ndarray, phases: list[np.ndarray], w: np.ndarray,
 
 
 def _conv_backward(g: np.ndarray, x: Tensor, w: Tensor, bias: Tensor | None,
-                   xp: np.ndarray, stride: int, padding: int) -> None:
+                   stride: int, padding: int) -> None:
     """Accumulate conv1d's bias, w and x gradients for the output gradient g."""
     co, ci, k = w.data.shape
     bsz = x.data.shape[0]
@@ -666,6 +663,7 @@ def _conv_backward(g: np.ndarray, x: Tensor, w: Tensor, bias: Tensor | None,
     # tensordot reach in the end, called directly to skip their
     # per-call planning; the operand order, and so every bit, is theirs.
     if w.requires_grad:
+        xp = _pad_time(x.data, padding) if padding else x.data
         if k == 1:
             xs = xp[:, :, ::stride][:, :, :l_out]
             if min(bsz, ci, l_out) > 1:
@@ -723,15 +721,14 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     """
     x, w, bias, l_out = _conv_args(x, w, b, stride, padding)
     parents = (x, w) if bias is None else (x, w, bias)
-    phases, xp = _conv_input(x.data, w.data.shape[2], stride, padding,
-                             _records(parents))
+    phases = _conv_phases(x.data, w.data.shape[2], stride, padding)
     data = np.empty((x.data.shape[0], w.data.shape[0], l_out),
                     dtype=x.data.dtype if bias is None
                     else np.promote_types(x.data.dtype, bias.data.dtype))
     _conv_into(data, phases, w.data, None if bias is None else bias.data, stride)
 
     def backward(g):
-        _conv_backward(g, x, w, bias, xp, stride, padding)
+        _conv_backward(g, x, w, bias, stride, padding)
 
     return Tensor._result(data, parents, backward)
 
@@ -741,27 +738,23 @@ def maxpool1d(x, kernel: int = 3, stride: int = 2, padding: int = 1) -> Tensor:
     x = _coerce(x)
     l_out = _check_time_op(x, kernel, stride, padding, "maxpool1d")
     l_in = x.data.shape[2]
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)),
-                    constant_values=-np.inf)
-    else:
-        xp = x.data
+    xp = _pad_time(x.data, padding, -np.inf) if padding else x.data
     # A running maximum over the K strided slices, in tap order; the argmax
-    # that routes gradients is only needed, and only computed, in backward.
+    # that routes gradients is only needed, and only computed, in backward,
+    # which rebuilds the padded input rather than keep it.
     end = stride * (l_out - 1) + 1
     data = xp[:, :, :end:stride].copy()
     for kk in range(1, kernel):
         np.maximum(data, xp[:, :, kk:kk + end:stride], out=data)
 
     def backward(g):
+        xp = _pad_time(x.data, padding, -np.inf) if padding else x.data
         arg = _window_view(xp, kernel, stride, l_out).argmax(axis=2)  # first max wins
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros(xp.shape, dtype=xp.dtype)
         for kk in range(kernel):
             sel = arg == kk
             gxp[:, :, kk:kk + stride * l_out:stride][sel] += g[sel]
-        if padding:
-            gxp = gxp[:, :, padding:padding + l_in]
-        x._accumulate(gxp)
+        x._accumulate(gxp[:, :, padding:padding + l_in])
 
     return Tensor._result(data, (x,), backward)
 
@@ -978,7 +971,7 @@ def conv_bn_act(x, w, b, gamma, beta, running_mean: np.ndarray,
     parents = (() if skip is None else (skip,)) + (x, w) + (
         () if bias is None else (bias,)) + (gamma, beta)
     record = _records(parents)
-    phases, xp = _conv_input(x.data, w.data.shape[2], stride, padding, record)
+    phases = _conv_phases(x.data, w.data.shape[2], stride, padding)
     bias_data = None if bias is None else bias.data
     if not (training or record):
         mean, inv = _bn_eval_stats(rm, rv)
@@ -1025,7 +1018,7 @@ def conv_bn_act(x, w, b, gamma, beta, running_mean: np.ndarray,
             (skip._accumulate_fresh if act else skip._accumulate)(g)
         gy = bn_backward(g, conv_grad)
         if gy is not None:
-            _conv_backward(gy, x, w, bias, xp, stride, padding)
+            _conv_backward(gy, x, w, bias, stride, padding)
 
     return Tensor._result(data, parents, backward)
 

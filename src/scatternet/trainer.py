@@ -44,7 +44,7 @@ _CONFIG_RULES = {
     **dict.fromkeys(("plateau_factor", "threshold"), (lambda v: 0 < v < 1, "in (0, 1)")),
     **dict.fromkeys(("power_prob", "gauss_prob", "drift_prob"),
                     (lambda v: 0 <= v <= 1, "in [0, 1]")),
-    **dict.fromkeys(("gauss_std", "lr_floor", "plateau_tol", "max_steps",
+    **dict.fromkeys(("seed", "gauss_std", "lr_floor", "plateau_tol", "max_steps",
                      "plateau_patience"), (lambda v: v >= 0, ">= 0")),
     "window": (lambda v: v == 0 or v >= MIN_WINDOW, f"0 or >= {MIN_WINDOW}"),
     **dict.fromkeys(("batch_size", "max_epochs"), (lambda v: v >= 1, ">= 1")),
@@ -310,6 +310,18 @@ def _manifest_problem(manifest) -> str | None:
     return None
 
 
+def _payload(params: list[tuple[str, np.ndarray]], buffers: list[tuple[str, np.ndarray]],
+             moments: list[tuple[str, np.ndarray, np.ndarray]]
+             ) -> list[tuple[str, str, np.ndarray]]:
+    """The checkpoint's (kind, name, array) entries in payload order: the
+    parameters, the buffers, then each parameter's Adam m and v."""
+    entries = [("param", n, a) for n, a in params]
+    entries += [("buffer", n, a) for n, a in buffers]
+    for n, m, v in moments:
+        entries += [("adam_m", n, m), ("adam_v", n, v)]
+    return entries
+
+
 @dataclass
 class Checkpoint:
     manifest: dict
@@ -330,22 +342,13 @@ class Checkpoint:
         arrays: dict[str, np.ndarray] = {}
         index = []
         offset = 0
-
-        def put(kind: str, name: str, arr: np.ndarray) -> None:
-            nonlocal offset
-            arr32 = np.ascontiguousarray(arr, dtype="<f4")
+        for kind, name, arr in _payload(params, buffers, moments):
+            # a copy, so that the checkpoint never changes with what it was made from
+            arr32 = np.array(arr, dtype="<f4", order="C")
             arrays[cls._key(kind, name)] = arr32
             index.append({"kind": kind, "name": name,
                           "shape": list(arr32.shape), "offset": offset})
             offset += arr32.nbytes
-
-        for name, arr in params:
-            put("param", name, arr)
-        for name, arr in buffers:
-            put("buffer", name, arr)
-        for name, m, v in moments:
-            put("adam_m", name, m)
-            put("adam_v", name, v)
 
         manifest = {
             "version": 1,
@@ -440,15 +443,13 @@ class Checkpoint:
         write, so a checkpoint that does not fit raises ``DataError`` and
         leaves the model and the moments as they were.
         """
-        targets = [("param", n, p.data) for n, p in model.named_parameters()]
-        targets += [("buffer", n, b) for n, b in model.named_buffers()]
         if adam is not None:
             step = self.manifest.get("adam_step")
             if not _is_count(step):
                 raise DataError(f"checkpoint adam_step must be an integer >= 0, "
                                 f"got {step!r}")
-            for n, m, v in adam.moments():
-                targets += [("adam_m", n, m), ("adam_v", n, v)]
+        targets = _payload([(n, p.data) for n, p in model.named_parameters()],
+                           model.named_buffers(), [] if adam is None else adam.moments())
         for kind, name, dst in targets:
             key = self._key(kind, name)
             if key not in self.arrays:
@@ -501,7 +502,8 @@ def _eval_windows(model: Model, windows, batch_size: int
 def evaluate_model(model: Model, records: list[Record], wm: WeightMatrix,
                    threshold: float = 0.5, batch_size: int = 256,
                    pooled: bool = False) -> dict:
-    """Center-cropped, augmentation-free metrics over a record list."""
+    """Center-cropped, augmentation-free metrics over a record list. ``bce``
+    runs in the engine precision, as the model does."""
     merged, table = merged_class_table(wm)
     if merged.k != model.config.n_classes:
         raise DataError(f"model has {model.config.n_classes} classes, weight "
@@ -520,7 +522,7 @@ def evaluate_model(model: Model, records: list[Record], wm: WeightMatrix,
         recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
     return {
         "score": discrete_challenge_score(truth, pred, merged, pooled=pooled),
-        "bce": float(bce(truth.astype(np.float64), probs.astype(np.float64))),
+        "bce": float(bce(truth, probs)),
         "precision": precision,
         "recall": recall,
         "ids": ids,
@@ -599,7 +601,7 @@ def train(cfg: TrainConfig, dataset: tuple[list[Record], WeightMatrix] | None = 
 
     best_score = -math.inf
     best_epoch = -1
-    best_state = _snapshot(model, adam)
+    best_state = None
     history: list[dict] = []
     steps = 0
     step_cap = cfg.max_steps or None
@@ -638,7 +640,7 @@ def train(cfg: TrainConfig, dataset: tuple[list[Record], WeightMatrix] | None = 
                              threshold=cfg.threshold, batch_size=cfg.batch_size,
                              pooled=cfg.pooled)
         # ties keep the most recent state so continued training is not discarded
-        if val["score"] >= best_score:
+        if best_state is None or val["score"] >= best_score:
             best_score = val["score"]
             best_epoch = epoch
             best_state = _snapshot(model, adam)
@@ -653,10 +655,8 @@ def train(cfg: TrainConfig, dataset: tuple[list[Record], WeightMatrix] | None = 
         if step_cap and steps >= step_cap:
             break
 
-    ckpt = Checkpoint.from_state(
-        cfg.variant, mcfg, cfg, merged.labels, best_epoch, best_score,
-        best_state["params"], best_state["buffers"], best_state["moments"],
-        best_state["adam_t"])
+    ckpt = Checkpoint.from_state(cfg.variant, mcfg, cfg, merged.labels, best_epoch,
+                                 best_score, **best_state)
     ckpt.history = history
     if cfg.out:
         try:

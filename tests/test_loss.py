@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from scatternet import engine
+from scatternet import engine, loss
 from scatternet import tensor as T
 from scatternet.engine import DataError
 from scatternet.loss import (WeightMatrix, bce, challenge_term, combined_loss,
@@ -297,3 +297,42 @@ class TestMergeIdenticalClasses:
         assert table["alias"] == table["a"]
         with pytest.raises(DataError):
             merge_identical_classes(wm, label_map={"alias": "missing"})
+
+
+def as_tensor_pair_float64(t, p):
+    """The pair as it was made: arrays through float64 before Tensor()."""
+    was_tensor = isinstance(p, Tensor)
+    t = t if isinstance(t, Tensor) else Tensor(np.asarray(t, dtype=np.float64))
+    p = p if isinstance(p, Tensor) else Tensor(np.asarray(p, dtype=np.float64))
+    return t, p, was_tensor
+
+
+class TestNoFloat64RoundTrip:
+    """Array inputs go straight to Tensor(), with the bits of the float64
+    round trip."""
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("kind", ["float32", "float64", "list"])
+    @pytest.mark.parametrize("shape", [(5,), (6, 5)])
+    def test_same_bytes(self, monkeypatch, precision, kind, shape):
+        engine.set_precision(precision)
+        rng = np.random.default_rng(30)
+        t = (rng.random(shape) > 0.5).astype(np.float64)
+        p = rng.random(shape)
+        p.reshape(-1)[0], p.reshape(-1)[-1] = 0.0, 1.0
+        if kind == "list":
+            t, p = t.tolist(), p.tolist()
+        else:
+            t, p = t.astype(kind), p.astype(kind)
+        w = identity_weight_matrix([f"c{i}" for i in range(5)])
+        fns = [bce, lambda a, b: challenge_term(a, b, w),
+               lambda a, b: combined_loss(a, b, w)]
+        if len(shape) == 1:  # batched, soft_or_norm returns one value per row
+            fns.append(soft_or_norm)
+
+        def results():
+            return [np.asarray(f(t, p), dtype=np.float64).tobytes() for f in fns]
+
+        got = results()
+        monkeypatch.setattr(loss, "_as_tensor_pair", as_tensor_pair_float64)
+        assert got == results()

@@ -386,3 +386,17 @@ class TestAttentionMemory:
         assert out.data.shape == x.data.shape
         assert slack < scores_bytes
         assert peak < 2 * scores_bytes + slack, (peak, scores_bytes)
+
+
+class TestForwardMode:
+    @pytest.mark.parametrize("mode", ["training", "Train", "", None])
+    def test_unknown_mode_raises_before_any_layer_runs(self, mode):
+        model = build_model(tiny_config(n_classes=3), "baseline")
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.standard_normal((2, 12, 1024)).astype(np.float32))
+        aux = Tensor(rng.random((2, 2)).astype(np.float32))
+        before = [b.copy() for _, b in model.named_buffers()]
+        with pytest.raises(ConfigError, match=f"mode must be train or eval, got {mode!r}"):
+            model.forward(x, aux, mode=mode)
+        for (name, b), was in zip(model.named_buffers(), before):
+            assert b.tobytes() == was.tobytes(), name

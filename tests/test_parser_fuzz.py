@@ -16,7 +16,7 @@ from scatternet.engine import ConfigError, DataError
 from scatternet.loss import identity_weight_matrix, load_weight_matrix, save_weight_matrix
 from scatternet.pipeline import (load_dataset, make_synthetic_dataset, prepare_pieces,
                                  synthetic_weight_matrix, write_dataset)
-from scatternet.trainer import config_from_mapping, load_config_file
+from scatternet.trainer import TrainConfig, config_from_mapping, load_config_file
 
 # Fixed examples and no example database keep tier-1 time and results the
 # same from run to run.
@@ -192,3 +192,58 @@ class TestSampleRateFuzz:
             assert "\n" not in str(exc)
             return
         assert all(p.fs == 500.0 and np.isfinite(p.signal).all() for p in pieces)
+
+
+# Re-ranged values for every TrainConfig key: signs, zeros, overflow, NaN,
+# infinities, a subnormal and integers past 64 bits
+RANGED = ["-1", "0", "-0", "1", "0.5", "449", "1e400", "-1e400", "nan", "inf", "-inf",
+          "1e-320", str(10 ** 29), str(-10 ** 29), "yes", "tiny", "scatter"]
+TRAIN_KEYS = sorted(TrainConfig().to_dict())
+
+
+def _usable_or_config_error(pairs):
+    try:
+        cfg = config_from_mapping(pairs)
+    except ConfigError:
+        return
+    engine.seed(cfg.seed)
+    cfg.model_config(4)
+
+
+class TestConfigRangeFuzz:
+    """config_from_mapping returns a config that seeds the engine and gives a
+    model config, or raises ConfigError; nothing else escapes it."""
+
+    @FUZZ
+    @given(pairs=st.dictionaries(st.sampled_from(TRAIN_KEYS), st.sampled_from(RANGED),
+                                 min_size=1, max_size=4))
+    def test_mixed_values(self, pairs):
+        _usable_or_config_error(pairs)
+
+    def test_every_key_and_value(self):
+        for key in TRAIN_KEYS:
+            for value in RANGED:
+                _usable_or_config_error({key: value})
+
+
+class TestNegativeSeed:
+    """A negative seed used to end in numpy's 'expected non-negative integer'
+    traceback from engine.seed."""
+
+    def _run_train(self, capsys, ds, *extra):
+        code = main(["train", "--data", str(ds), "--epochs", "1", *extra])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert code == 1 and "seed must be >= 0" in err, err
+
+    def test_flag(self, capsys, valid_dataset):
+        self._run_train(capsys, valid_dataset, "--seed", "-1")
+
+    def test_environment(self, capsys, valid_dataset, monkeypatch):
+        monkeypatch.setenv("SCATTERNET_SEED", "-2")
+        self._run_train(capsys, valid_dataset)
+
+    def test_config_file(self, capsys, tmp_path, valid_dataset):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = -3\n", encoding="utf-8")
+        self._run_train(capsys, valid_dataset, "--config", str(cfg))

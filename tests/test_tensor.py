@@ -1197,3 +1197,161 @@ class TestCo1WeightGradient:
         want = np.einsum("bol,bcl->oc", g, xs, optimize=True)[:, :, None]
         assert wt.grad.shape == want.shape
         assert wt.grad.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def conv_backward_kept_copy(g, x, w, stride, padding):
+    """conv1d's x, w and bias gradients as they were computed from a padded
+    copy that the forward kept: channel-major (Ci, B, L + 2p), read as a
+    (B, Ci, L + 2p) view; x itself without padding."""
+    co, ci, k = w.shape
+    bsz, _, l_in = x.shape
+    l_out = g.shape[2]
+    if padding:
+        xc = np.zeros((ci, bsz, l_in + 2 * padding), dtype=x.dtype)
+        xc[:, :, padding:padding + l_in] = x.transpose(1, 0, 2)
+        xp = xc.transpose(1, 0, 2)
+    else:
+        xp = x
+    if k == 1:
+        xs = xp[:, :, ::stride][:, :, :l_out]
+        if min(bsz, ci, l_out) > 1:
+            gw = (xs.transpose(1, 0, 2).reshape(ci, -1)
+                  @ g.transpose(0, 2, 1).reshape(-1, co)).T[:, :, None]
+        else:
+            gw = np.einsum("bol,bcl->oc", g, xs, optimize=True)[:, :, None]
+    else:
+        win = T._window_view(xp, k, stride, l_out)
+        gw = np.dot(g.transpose(1, 0, 2).reshape(co, -1),
+                    win.transpose(0, 3, 1, 2).reshape(-1, ci * k)).reshape(co, ci, k)
+    dwin = np.dot(w.transpose(1, 2, 0).reshape(ci * k, co),
+                  g.transpose(1, 0, 2).reshape(co, -1)
+                  ).reshape(ci, k, bsz, l_out).transpose(2, 0, 1, 3)
+    gxp = np.zeros(xp.shape, dtype=x.dtype)
+    for kk in range(k):
+        gxp[:, :, kk:kk + stride * l_out:stride] += dwin[:, :, kk]
+    return gxp[:, :, padding:padding + l_in], gw, g.sum(axis=(0, 2))
+
+
+def maxpool_backward_kept_copy(g, x, kernel, stride, padding):
+    """maxpool1d's x gradient from the -inf padded copy that np.pad made."""
+    l_in = x.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)), constant_values=-np.inf)
+    arg = T._window_view(xp, kernel, stride, g.shape[2]).argmax(axis=2)
+    gxp = np.zeros_like(xp)
+    for kk in range(kernel):
+        sel = arg == kk
+        gxp[:, :, kk:kk + stride * g.shape[2]:stride][sel] += g[sel]
+    return gxp[:, :, padding:padding + l_in]
+
+
+def _signed_zeros(a):
+    a.reshape(-1)[::7] = -0.0
+    a.reshape(-1)[3::11] = 0.0
+    return a
+
+
+# (B, Ci, Co, K, L, stride, padding): padded k = 1 with one batch row, one
+# input or output channel or one input sample, at stride 1 and 2; padded
+# k = 3 with L_out of 1; the stem's k = 7 stride 2; unpadded for contrast
+PADDED_CONVS = [(1, 4, 5, 1, 33, 1, 1), (1, 4, 5, 1, 33, 2, 1), (3, 1, 5, 1, 33, 2, 1),
+                (3, 4, 1, 1, 33, 2, 1), (3, 4, 5, 1, 1, 2, 1), (4, 6, 8, 1, 40, 2, 2),
+                (3, 4, 5, 3, 1, 1, 1), (3, 4, 5, 3, 2, 2, 1), (2, 12, 8, 7, 64, 2, 3),
+                (4, 8, 8, 3, 40, 1, 1), (3, 4, 5, 3, 33, 2, 0)]
+
+
+class TestPaddedInputRebuilt:
+    """Recorded convs and the max pool keep x; backward rebuilds the padded
+    input, and the gradients keep the bits of the kept padded copy."""
+
+    @pytest.mark.parametrize("bsz,ci,co,k,length,stride,padding", PADDED_CONVS)
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_conv1d_gradients(self, bsz, ci, co, k, length, stride, padding, precision):
+        engine.set_precision(precision)
+        dt = engine.dtype()
+        rng = np.random.default_rng(61)
+        x = _signed_zeros(rng.standard_normal((bsz, ci, length)).astype(dt))
+        w = rng.standard_normal((co, ci, k)).astype(dt)
+        b = rng.standard_normal(co).astype(dt)
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = conv1d(xt, wt, bt, stride=stride, padding=padding)
+        g = _signed_zeros(rng.standard_normal(out.shape).astype(dt))
+        out.backward(g)
+        want = conv_backward_kept_copy(g, x, w, stride, padding)
+        for name, got, ref in zip("xwb", (xt.grad, wt.grad, bt.grad), want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape, name
+            assert got.tobytes() == np.ascontiguousarray(ref).tobytes(), name
+
+    @pytest.mark.parametrize("bsz,ci,co,k,length,stride,padding", PADDED_CONVS)
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_conv_bn_act_conv_gradients(self, monkeypatch, bsz, ci, co, k, length,
+                                        stride, padding, precision):
+        # the gradient that reaches the conv is caught on its way in, so
+        # the conv's part of the node is checked on its own
+        engine.set_precision(precision)
+        dt = engine.dtype()
+        rng = np.random.default_rng(62)
+        x = _signed_zeros(rng.standard_normal((bsz, ci, length)).astype(dt))
+        w = rng.standard_normal((co, ci, k)).astype(dt)
+        b = rng.standard_normal(co).astype(dt)
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        gamma = Tensor((rng.random(co) + 0.5).astype(dt), requires_grad=True)
+        beta = Tensor(rng.standard_normal(co).astype(dt), requires_grad=True)
+        rm, rv = np.zeros(co, dtype=dt), np.ones(co, dtype=dt)
+        seen = []
+        conv_backward = T._conv_backward
+
+        def catch(gy, *args, **kwargs):
+            seen.append(gy.copy())
+            conv_backward(gy, *args, **kwargs)
+
+        monkeypatch.setattr(T, "_conv_backward", catch)
+        out = T.conv_bn_act(xt, wt, bt, gamma, beta, rm, rv, training=True,
+                            stride=stride, padding=padding)
+        out.backward(_signed_zeros(rng.standard_normal(out.shape).astype(dt)))
+        assert len(seen) == 1
+        want = conv_backward_kept_copy(seen[0], x, w, stride, padding)
+        for name, got, ref in zip("xwb", (xt.grad, wt.grad, bt.grad), want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape, name
+            assert got.tobytes() == np.ascontiguousarray(ref).tobytes(), name
+
+    @pytest.mark.parametrize("kernel,stride,padding", [(3, 2, 1), (3, 1, 1), (5, 2, 2),
+                                                        (3, 2, 0), (1, 1, 0)])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_maxpool_gradient(self, kernel, stride, padding, precision):
+        # small integers tie many windows, zeros of both signs tie, and a
+        # NaN wins its windows
+        engine.set_precision(precision)
+        dt = engine.dtype()
+        rng = np.random.default_rng(63)
+        x = rng.integers(-2, 3, size=(3, 4, 41)).astype(dt)
+        zeros = x == 0
+        x[zeros] = rng.choice(np.array([0.0, -0.0]), size=int(zeros.sum()))
+        x.flat[::37] = np.nan
+        xt = Tensor(x, requires_grad=True)
+        out = maxpool1d(xt, kernel=kernel, stride=stride, padding=padding)
+        g = _signed_zeros(rng.standard_normal(out.shape).astype(dt))
+        out.backward(g)
+        want = maxpool_backward_kept_copy(g, x, kernel, stride, padding)
+        assert xt.grad.dtype == want.dtype and xt.grad.shape == want.shape
+        assert xt.grad.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("op", ["conv1d stride 1", "conv1d stride 2", "maxpool1d"])
+    def test_recorded_node_holds_no_padded_copy(self, op):
+        # Between forward and backward the node holds x, which the caller
+        # holds too, and its output: no (B, C, L + 2p) copy of x. The
+        # slack covers Python objects and the per-call scratch.
+        rng = np.random.default_rng(64)
+        x = Tensor(rng.standard_normal((4, 8, 8192)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 8, 3)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            if op == "maxpool1d":
+                out = maxpool1d(x, kernel=3, stride=2, padding=1)
+            else:
+                out = conv1d(x, w, stride=int(op[-1]), padding=1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < out.data.nbytes + x.data.nbytes // 4, (held, out.data.nbytes)
+        out.backward(np.ones_like(out.data))
+        assert x.grad.shape == x.data.shape

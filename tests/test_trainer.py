@@ -1053,3 +1053,110 @@ class TestModelConfigRules:
         assert dataclasses.replace(tiny_config(4), n_classes=2).n_classes == 2
         with pytest.raises(ConfigError, match="heads must be"):
             dataclasses.replace(ModelConfig(), heads=-2)
+
+
+class TestCheckpointCopiesWhatItHolds:
+    """A checkpoint built from a live model keeps the state of that moment."""
+
+    def test_later_forward_and_step_leave_it_alone(self):
+        mcfg, model, opt = small_model_state()
+        ck = checkpoint_of(mcfg, model, opt)
+        kept = {k: a.tobytes() for k, a in ck.arrays.items()}
+        live = ([p.data for _, p in model.named_parameters()]
+                + [b for _, b in model.named_buffers()]
+                + [a for _, m, v in opt.moments() for a in (m, v)])
+        assert not any(np.shares_memory(a, b) for a in ck.arrays.values() for b in live)
+        # a train-mode forward moves the running statistics, a step the
+        # parameters and the moments
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.standard_normal((2, 2, 512)).astype(engine.dtype()))
+        aux = Tensor(rng.standard_normal((2, 2)).astype(engine.dtype()))
+        before = [a.copy() for a in live]
+        loss = model.forward(x, aux, "train").sum()
+        opt.zero_grad()
+        loss.backward()
+        opt.step(1e-2)
+        assert sum(not np.array_equal(a, b) for a, b in zip(live, before)) > len(live) // 2
+        assert {k: a.tobytes() for k, a in ck.arrays.items()} == kept
+
+
+class TestPayloadOrder:
+    def test_params_buffers_then_moments_per_parameter(self):
+        mcfg, model, opt = small_model_state()
+        ck = checkpoint_of(mcfg, model, opt)
+        params = [n for n, _ in model.named_parameters()]
+        buffers = [n for n, _ in model.named_buffers()]
+        want = ([("param", n) for n in params] + [("buffer", n) for n in buffers]
+                + [(kind, n) for n in params for kind in ("adam_m", "adam_v")])
+        assert [(e["kind"], e["name"]) for e in ck.manifest["index"]] == want
+
+
+class TestFirstSnapshot:
+    """train() takes its first snapshot after epoch 0's validation."""
+
+    def test_first_snapshot_follows_the_first_validation(self, tiny_dataset, monkeypatch):
+        events = []
+        snapshot, evaluate = trainer._snapshot, trainer.evaluate_model
+
+        def logged(name, fn):
+            def call(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(trainer, "_snapshot", logged("snapshot", snapshot))
+        monkeypatch.setattr(trainer, "evaluate_model", logged("evaluate", evaluate))
+        ck = train(quick_cfg(max_epochs=1), dataset=tiny_dataset)
+        assert events == ["evaluate", "snapshot"]
+        assert ck.manifest["epoch"] == 0
+
+    def test_nan_score_still_keeps_epoch_0(self, tiny_dataset, monkeypatch):
+        # a finite weight matrix with entries near 1e308 can score inf and
+        # -inf records, whose mean is NaN
+        evaluate = trainer.evaluate_model
+
+        def nan_score(*args, **kwargs):
+            return {**evaluate(*args, **kwargs), "score": float("nan")}
+
+        monkeypatch.setattr(trainer, "evaluate_model", nan_score)
+        ck = train(quick_cfg(max_epochs=2), dataset=tiny_dataset)
+        assert ck.manifest["epoch"] == 0 and len(ck.history) == 2
+
+
+class TestSeedRule:
+    @pytest.mark.parametrize("value", ["-1", "-3", str(-2 ** 70)])
+    def test_negative_seed_is_a_config_error(self, value):
+        with pytest.raises(ConfigError, match="^seed must be >= 0"):
+            config_from_mapping({"seed": value})
+
+    @pytest.mark.parametrize("value", ["0", "7", str(2 ** 100)])
+    def test_non_negative_seed_seeds_the_engine(self, value):
+        cfg = config_from_mapping({"seed": value})
+        engine.seed(cfg.seed)
+        assert cfg.seed == int(value)
+
+
+def bce_float64_round_trip(t, p):
+    """evaluate_model's bce as it was: both arrays converted to float64, then
+    by Tensor() back to the engine precision."""
+    from scatternet.loss import EPS_P
+    t, p = Tensor(t.astype(np.float64)), Tensor(p.astype(np.float64))
+    pc = T.clip(p, EPS_P, 1.0 - EPS_P)
+    per_class = T.add(T.mul(t, T.log(pc)), T.mul(T.sub(1.0, t), T.log(T.sub(1.0, pc))))
+    return float(T.mean(T.mul(T.tensor_sum(per_class, axis=-1), -1.0)).data)
+
+
+class TestEvaluateBce:
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_bytes_of_the_float64_round_trip(self, precision):
+        engine.set_precision(precision)
+        try:
+            mcfg = ModelConfig(n_leads=12, n_classes=2, window=512, heads=2,
+                               width_scale=0.25, fc_hidden=8, dropout=0.0)
+            model = build_model(mcfg, "baseline")
+            recs = make_synthetic_dataset(5, 2, np.random.default_rng(9))
+            res = evaluate_model(model, recs, synthetic_weight_matrix(2))
+            want = bce_float64_round_trip(res["truth"], res["probs"])
+            assert struct.pack("<d", res["bce"]) == struct.pack("<d", want)
+        finally:
+            engine.set_precision("float32")
