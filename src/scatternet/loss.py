@@ -7,7 +7,8 @@ applies the same formula to thresholded predictions. Minimizing
 ``bce - challenge`` trades calibration against reward, 1:1.
 
 All differentiable pieces accept plain arrays or graph Tensors; they return
-a Tensor when any probability input is a Tensor, else a float.
+a Tensor when any probability input is a Tensor, else a float, or, for
+``soft_or_norm`` of batched arrays, an array of one count per record.
 """
 
 from __future__ import annotations
@@ -182,7 +183,10 @@ def _as_tensor_pair(t, p) -> tuple[Tensor, Tensor, bool]:
 
 
 def _maybe_float(out: Tensor, was_tensor: bool):
-    return out if was_tensor else float(out.data)
+    """out itself, or its value: a float when out is a scalar, else its array."""
+    if was_tensor:
+        return out
+    return float(out.data) if out.ndim == 0 else out.data
 
 
 def soft_or_norm(t, p):

@@ -166,6 +166,29 @@ class Module:
         return out
 
 
+def _by_rows(f, inputs: tuple[Tensor, ...], mode: str, row_bytes: int) -> Tensor:
+    """f(*inputs), where f maps batch rows to batch rows.
+
+    In training, or when a graph is recorded, f runs once on the whole
+    batch. Otherwise it runs on chunks of as many rows as T._CHUNK_BYTES
+    holds at ``row_bytes`` a row (graph-free views, no copies), and each
+    chunk's output goes into its rows of one array, so f's intermediates are
+    held for one chunk at a time."""
+    bsz = inputs[0].shape[0]
+    rows = bsz
+    if mode == "eval" and not engine.grad_enabled():
+        rows = max(1, T._CHUNK_BYTES // row_bytes)
+    if rows >= bsz:
+        return f(*inputs)
+    out = None
+    for r0 in range(0, bsz, rows):
+        part = f(*(Tensor._result(t.data[r0:r0 + rows], (), None) for t in inputs)).data
+        if out is None:
+            out = np.empty((bsz,) + part.shape[1:], dtype=part.dtype)
+        out[r0:r0 + rows] = part
+    return Tensor._result(out, (), None)
+
+
 def _kaiming_uniform(shape: tuple[int, ...], fan_in: int) -> Tensor:
     limit = math.sqrt(6.0 / fan_in)
     data = engine.rng().uniform(-limit, limit, size=shape)
@@ -316,7 +339,6 @@ class AttentionBlock(Module):
         return pe.astype(engine.dtype())
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
-        del mode
         b, c, t_len = x.shape
         if c != self.channels:
             raise ShapeError(f"attention expects {self.channels} channels, got {c}")
@@ -332,12 +354,17 @@ class AttentionBlock(Module):
             h = T.reshape(h, (b, t_len, self.heads, dh))
             return T.transpose(h, (0, 2, 1, 3))      # (B, H, T, dh)
 
+        def attend(q: Tensor, kt: Tensor, v: Tensor) -> Tensor:
+            # the scores are not named, so without a graph they are freed as
+            # soon as softmax has made the weights
+            weights = T.softmax(T.mul(T.matmul(q, kt), 1.0 / math.sqrt(dh)), axis=-1)
+            return T.matmul(weights, v)
+
+        # the projections run at full batch; each (b, h) matrix product and
+        # softmax row is the same whichever rows share its chunk
         q, k, v = split(self.q), split(self.k), split(self.v)
-        # the scores are not named, so without a graph they are freed as soon
-        # as softmax has made the weights
-        weights = T.softmax(T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
-                                  1.0 / math.sqrt(dh)), axis=-1)
-        ctx = T.matmul(weights, v)                   # (B, H, T, dh)
+        ctx = _by_rows(attend, (q, T.transpose(k, (0, 1, 3, 2)), v), mode,
+                       self.heads * t_len * t_len * x.data.itemsize)
         ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b * t_len, c))
         proj = T.reshape(self.out.forward(ctx, "eval"), (b, t_len, c))
         return T.transpose(T.add(xt, proj), (0, 2, 1))
@@ -395,6 +422,15 @@ class Model(Module):
         for (_, p), view in zip(named, flat_views(arena, [p.shape for _, p in named])):
             p.data = view
 
+    def _trunk(self, x: Tensor, mode: str) -> Tensor:
+        """The stem, the max pool, the stages and the head conv."""
+        h = self.stem.forward(x, mode, self.stem_bn)
+        h = T.maxpool1d(h, kernel=3, stride=2, padding=1)
+        for blocks in self.stages:
+            for block in blocks:
+                h = block.forward(h, mode)
+        return self.head.forward(h, mode, self.head_bn)
+
     def forward(self, x: Tensor, aux: Tensor, mode: str = "eval") -> Tensor:
         if mode not in ("train", "eval"):
             raise ConfigError(f"mode must be train or eval, got {mode!r}")
@@ -410,12 +446,10 @@ class Model(Module):
         if aux.ndim != 2 or aux.shape != (x.shape[0], self.config.aux_features):
             raise ShapeError(f"aux must be (B, {self.config.aux_features})")
 
-        h = self.stem.forward(x, mode, self.stem_bn)
-        h = T.maxpool1d(h, kernel=3, stride=2, padding=1)
-        for blocks in self.stages:
-            for block in blocks:
-                h = block.forward(h, mode)
-        h = self.head.forward(h, mode, self.head_bn)
+        # every trunk op works window by window, so a chunk of windows gives
+        # its rows of the head output bit for bit
+        h = _by_rows(lambda xs: self._trunk(xs, mode), (x,), mode,
+                     x.data.itemsize * x.shape[1] * x.shape[2])
         h = self.attention.forward(h, mode)
         h = T.adaptive_avgpool1d(h, _POOL_BINS)
         h = T.reshape(h, (h.shape[0], h.shape[1] * h.shape[2]))

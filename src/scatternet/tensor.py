@@ -306,6 +306,11 @@ def clip(x, lo: float | None, hi: float | None) -> Tensor:
 # blocks, the scatter node's eval rows and sigmoid's and swish's rows. A block,
 # its scratch and one input run together stay within a 4 MB L2 cache.
 _BLOCK_BYTES = 512 * 1024
+# Byte budget of one chunk of batch rows in an eval forward that records no
+# graph: Model.forward runs its conv trunk over as many windows as fit in it,
+# and the attention block its scores over as many rows, so the activations
+# held at once follow the chunk, not the batch (README, "Eval memory").
+_CHUNK_BYTES = 4 * 1024 * 1024
 # numpy's ufunc buffer size, in elements, while conv1d's tap loop runs. With
 # the default 8192, numpy copies the operands of the per-tap broadcast
 # multiply into its buffer when the rows are shorter than that; with 256 it

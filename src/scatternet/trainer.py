@@ -339,12 +339,21 @@ class Checkpoint:
                    buffers: list[tuple[str, np.ndarray]],
                    moments: list[tuple[str, np.ndarray, np.ndarray]],
                    adam_t: int) -> "Checkpoint":
+        # copies, so that the checkpoint never changes with what it was made from
+        return cls._holding(np.array, variant, mcfg, cfg, classes, epoch, best_score,
+                            params, buffers, moments, adam_t)
+
+    @classmethod
+    def _holding(cls, convert, variant, mcfg, cfg, classes, epoch, best_score,
+                 params, buffers, moments, adam_t) -> "Checkpoint":
+        """from_state, with ``convert`` (np.array or np.asarray) giving each
+        array as little-endian float32 in C order; with np.asarray the
+        checkpoint holds arrays that only its caller owns without a copy."""
         arrays: dict[str, np.ndarray] = {}
         index = []
         offset = 0
         for kind, name, arr in _payload(params, buffers, moments):
-            # a copy, so that the checkpoint never changes with what it was made from
-            arr32 = np.array(arr, dtype="<f4", order="C")
+            arr32 = convert(arr, dtype="<f4", order="C")
             arrays[cls._key(kind, name)] = arr32
             index.append({"kind": kind, "name": name,
                           "shape": list(arr32.shape), "offset": offset})
@@ -467,12 +476,27 @@ class Checkpoint:
 # -- batching helpers ---------------------------------------------------------------
 
 
-def _stack_windows(windows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stack_windows(windows, rows: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]] | None:
+    """The next ``rows`` windows of ``windows``, or as many as are left, as
+    (x, aux, targets, record ids); None when none are left.
+
+    Each window is copied into its row of batch arrays made for ``rows``
+    windows as it is drawn, and let go once the next one has been drawn, so
+    a batch drawn from an iterator is held once, not as its windows plus
+    their copy. A short batch is the first rows of those arrays; the rows
+    past it are never written, so the pages under them are never touched."""
     dt = engine.dtype()
-    x = np.stack([w.data for w in windows], dtype=dt)
-    aux = np.stack([w.aux for w in windows], dtype=dt)
-    t = np.stack([w.target for w in windows], dtype=dt)
-    return x, aux, t
+    ids: list[str] = []
+    for i, w in enumerate(islice(windows, rows)):
+        if not ids:
+            x = np.empty((rows,) + w.data.shape, dtype=dt)
+            aux = np.empty((rows,) + w.aux.shape, dtype=dt)
+            t = np.empty((rows,) + w.target.shape, dtype=dt)
+        x[i], aux[i], t[i] = w.data, w.aux, w.target
+        ids.append(w.record_id)
+    n = len(ids)
+    return (x[:n], aux[:n], t[:n], ids) if n else None
 
 
 def _forward_probs(model: Model, x: np.ndarray, aux: np.ndarray,
@@ -488,11 +512,9 @@ def _eval_windows(model: Model, windows, batch_size: int
     probs, truth, ids = [], [], []
     windows = iter(windows)
     with engine.no_grad():
-        while chunk := list(islice(windows, batch_size)):
-            x, aux, t = _stack_windows(chunk)
-            ids.extend(w.record_id for w in chunk)
-            # the windows are a second copy of x that nothing reads from here on
-            del chunk
+        while batch := _stack_windows(windows, batch_size):
+            x, aux, t, batch_ids = batch
+            ids.extend(batch_ids)
             p = _forward_probs(model, x, aux, "eval")
             probs.append(p.data)
             truth.append(t)
@@ -617,7 +639,7 @@ def train(cfg: TrainConfig, dataset: tuple[list[Record], WeightMatrix] | None = 
                 rng = engine.derived_rng(cfg.seed, piece.id, epoch)
                 windows.append(make_window(piece, table, merged.k,
                                            out_len=mcfg.window, rng=rng, aug=aug))
-            x, aux, t = _stack_windows(windows)
+            x, aux, t, _ = _stack_windows(windows, len(windows))
             p = _forward_probs(model, x, aux, "train")
             loss = combined_loss(Tensor(t), p, merged)
             if not np.isfinite(loss.data):
@@ -655,8 +677,10 @@ def train(cfg: TrainConfig, dataset: tuple[list[Record], WeightMatrix] | None = 
         if step_cap and steps >= step_cap:
             break
 
-    ckpt = Checkpoint.from_state(cfg.variant, mcfg, cfg, merged.labels, best_epoch,
-                                 best_score, **best_state)
+    # the snapshot's copies are this run's own, so the checkpoint takes them
+    # over instead of copying them again
+    ckpt = Checkpoint._holding(np.asarray, cfg.variant, mcfg, cfg, merged.labels,
+                               best_epoch, best_score, **best_state)
     ckpt.history = history
     if cfg.out:
         try:

@@ -336,3 +336,29 @@ class TestNoFloat64RoundTrip:
         got = results()
         monkeypatch.setattr(loss, "_as_tensor_pair", as_tensor_pair_float64)
         assert got == results()
+
+
+class TestSoftOrBatched:
+    """soft_or_norm of (B, K) arrays gives one count per record, each the
+    value of its row alone."""
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("k", [3, 24])
+    def test_per_record_counts_equal_the_rows(self, precision, k):
+        engine.set_precision(precision)
+        rng = np.random.default_rng(31)
+        t = (rng.random((6, k)) > 0.5).astype(np.float64)
+        p = rng.random((6, k))
+        counts = soft_or_norm(t, p)
+        assert isinstance(counts, np.ndarray) and counts.shape == (6,)
+        assert counts.dtype == np.dtype(precision)
+        for row, (tr, pr) in enumerate(zip(t, p)):
+            one = soft_or_norm(tr, pr)
+            assert isinstance(one, float)
+            assert counts[row] == one
+
+    def test_tensor_input_still_gives_a_tensor(self):
+        t = np.array([[1.0, 0.0], [0.0, 0.0]])
+        counts = soft_or_norm(Tensor(t), Tensor(np.full((2, 2), 0.5)))
+        assert isinstance(counts, Tensor)
+        np.testing.assert_array_equal(counts.data, [1.5, 1.0])

@@ -400,3 +400,157 @@ class TestForwardMode:
             model.forward(x, aux, mode=mode)
         for (name, b), was in zip(model.named_buffers(), before):
             assert b.tobytes() == was.tobytes(), name
+
+
+def _full_batch_attention(block: AttentionBlock, x: Tensor) -> Tensor:
+    """AttentionBlock.forward with its scores made for the whole batch at once."""
+    b, c, t_len = x.shape
+    dh = c // block.heads
+    xt = T.transpose(x, (0, 2, 1))
+    attended_in = T.add(xt, Tensor(block._encoding(t_len))) if block.pos_encoding else xt
+    flat = T.reshape(attended_in, (b * t_len, c))
+
+    def split(proj):
+        h = T.reshape(proj.forward(flat, "eval"), (b, t_len, block.heads, dh))
+        return T.transpose(h, (0, 2, 1, 3))
+
+    q, k, v = split(block.q), split(block.k), split(block.v)
+    weights = T.softmax(T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
+                              1.0 / np.sqrt(dh)), axis=-1)
+    ctx = T.reshape(T.transpose(T.matmul(weights, v), (0, 2, 1, 3)), (b * t_len, c))
+    proj = T.reshape(block.out.forward(ctx, "eval"), (b, t_len, c))
+    return T.transpose(T.add(xt, proj), (0, 2, 1))
+
+
+def _full_batch_forward(model: Model, x: Tensor, aux: Tensor, mode: str) -> Tensor:
+    """Model.forward as one pass over the whole batch, nothing chunked."""
+    h = model.stem.forward(x, mode, model.stem_bn)
+    h = T.maxpool1d(h, kernel=3, stride=2, padding=1)
+    for blocks in model.stages:
+        for block in blocks:
+            h = block.forward(h, mode)
+    h = model.head.forward(h, mode, model.head_bn)
+    h = _full_batch_attention(model.attention, h)
+    h = T.adaptive_avgpool1d(h, 8)
+    h = T.reshape(h, (h.shape[0], h.shape[1] * h.shape[2]))
+    h = T.concat([h, aux], axis=1)
+    h = T.swish(model.fc1.forward(h, mode))
+    h = T.dropout(h, model.config.dropout, training=(mode == "train"))
+    return model.fc2.forward(h, mode)
+
+
+def _settled(cfg: ModelConfig, variant: str, seed: int) -> Model:
+    """A model whose running statistics have seen a few training batches."""
+    engine.seed(seed)
+    model = build_model(cfg, variant)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        x = rng.standard_normal((4, cfg.n_leads, cfg.window))
+        model.forward(Tensor(x), Tensor(rng.random((4, 2))), mode="train")
+    return model
+
+
+def _batch(bsz: int, window: int, seed: int) -> tuple[Tensor, Tensor]:
+    rng = np.random.default_rng(seed)
+    return (Tensor(rng.standard_normal((bsz, 12, window))),
+            Tensor(rng.random((bsz, 2))))
+
+
+class TestEvalChunks:
+    """Without a graph, Model.forward runs its conv trunk over chunks of
+    windows and attention its scores over chunks of rows; every output
+    byte equals that of a forward over the whole batch."""
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("variant", ["baseline", "scatter"])
+    def test_bytes_equal_whole_batch_forward(self, monkeypatch, precision, variant):
+        engine.set_precision(precision)
+        model = _settled(tiny_config(n_classes=3), variant, 21)
+        itemsize = np.dtype(precision).itemsize
+        t_att = 16  # the tiny window's length after the head
+        # attention chunks of 8 rows, and so trunk chunks of 2 windows
+        rows = 8
+        monkeypatch.setattr(T, "_CHUNK_BYTES", rows * 12 * t_att * t_att * itemsize)
+        assert T._CHUNK_BYTES // (12 * 1024 * itemsize) == 2
+        for bsz in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
+            x, aux = _batch(bsz, 1024, bsz)
+            with engine.no_grad():
+                got = model.forward(x, aux, mode="eval").data
+                want = _full_batch_forward(model, x, aux, "eval").data
+            assert got.dtype == want.dtype == np.dtype(precision)
+            assert got.tobytes() == want.tobytes(), bsz
+
+    def test_full_preset_bytes_and_traced_peak(self):
+        # the real chunk budget: trunk chunks of 17 windows, attention chunks
+        # of 13 rows, both with a tail at this batch
+        model = _settled(ModelConfig(n_classes=4), "scatter", 22)
+        bsz = 2 * 17 + 3
+        x, aux = _batch(bsz, 5120, 3)
+        with engine.no_grad():
+            model.forward(*_batch(1, 5120, 4), mode="eval")  # warm-up
+            peaks = {}
+            for name, forward in (("chunked", model.forward),
+                                  ("whole", lambda *a: _full_batch_forward(model, *a))):
+                tracemalloc.start()
+                try:
+                    out = forward(x, aux, "eval").data
+                    peaks[name] = tracemalloc.get_traced_memory()[1], out
+                finally:
+                    tracemalloc.stop()
+        (chunked, got), (whole, want) = peaks["chunked"], peaks["whole"]
+        assert got.tobytes() == want.tobytes()
+        # every stage's output is as large as its input, so the trunk holds
+        # about four chunk inputs at once (16.2 MB seen), and the whole
+        # batch about 3.2 inputs per window (29.4 MB seen)
+        assert chunked < 5 * T._CHUNK_BYTES < whole, (chunked, whole)
+
+
+class TestRecordedForwardUnchunked:
+    """Training, and an eval forward that records a graph, run on the whole
+    batch: outputs, gradients and running statistics equal a whole-batch
+    forward's, even when the chunk budget would split every row."""
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_gradients_equal_whole_batch(self, monkeypatch, mode):
+        monkeypatch.setattr(T, "_CHUNK_BYTES", 1)
+        cfg = tiny_config(n_classes=3)
+        runs = []
+        for forward in (Model.forward, _full_batch_forward):
+            engine.seed(23)
+            model = build_model(cfg, "scatter")
+            x, aux = _batch(5, 1024, 5)
+            engine.seed(24)  # the same dropout draws
+            out = forward(model, x, aux, mode)
+            T.tensor_sum(T.mul(out, out)).backward()
+            runs.append((out.data, [p.grad for _, p in model.named_parameters()],
+                         [b for _, b in model.named_buffers()]))
+        (out, grads, bufs), (want_out, want_grads, want_bufs) = runs
+        assert out.tobytes() == want_out.tobytes()
+        for g, want in zip(grads + bufs, want_grads + want_bufs):
+            assert g.tobytes() == want.tobytes()
+
+
+class TestAttentionChunkMemory:
+    def test_eval_holds_two_chunk_scores_arrays_at_most(self):
+        # 32 rows of (H, T, T) = (2, 256, 256) float32 scores: 512 KiB a
+        # row, so chunks of 8 rows, 4 MiB of scores each. A whole-batch
+        # pass would hold two 16 MiB arrays at once.
+        engine.seed(25)
+        bsz, c, heads, t_len = 32, 8, 2, 256
+        block = AttentionBlock(c, heads)
+        x = Tensor(np.random.default_rng(9).standard_normal((bsz, c, t_len))
+                   .astype(np.float32))
+        row_scores = heads * t_len * t_len * 4
+        rows = T._CHUNK_BYTES // row_scores
+        slack = 16 * x.data.nbytes + 64 * 1024
+        with engine.no_grad():
+            tracemalloc.start()
+            try:
+                out = block.forward(x, "eval")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            want = _full_batch_attention(block, x)
+        assert out.data.tobytes() == want.data.tobytes()
+        assert bsz == 4 * rows
+        assert peak < 2 * rows * row_scores + slack, (peak, rows * row_scores)

@@ -1160,3 +1160,79 @@ class TestEvaluateBce:
             assert struct.pack("<d", res["bce"]) == struct.pack("<d", want)
         finally:
             engine.set_precision("float32")
+
+
+def _windows(n, seed=12, window=512):
+    merged, table = merged_class_table(synthetic_weight_matrix(2))
+    pieces = prepare_pieces(make_synthetic_dataset(n, 2, np.random.default_rng(seed)))
+    return [make_window(p, table, merged.k, out_len=window) for p in pieces[:n]]
+
+
+class TestStackWindows:
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_bytes_equal_np_stack_with_a_short_last_batch(self, precision):
+        engine.set_precision(precision)
+        try:
+            windows = _windows(7)
+            source = iter(windows)
+            batches = []
+            while batch := trainer._stack_windows(source, 3):
+                batches.append(batch)
+            assert [len(ids) for *_, ids in batches] == [3, 3, 1]
+            for i, (x, aux, t, ids) in enumerate(batches):
+                chunk = windows[3 * i:3 * i + 3]
+                for got, field in ((x, "data"), (aux, "aux"), (t, "target")):
+                    want = np.stack([getattr(w, field) for w in chunk], dtype=engine.dtype())
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert ids == [w.record_id for w in chunk]
+        finally:
+            engine.set_precision("float32")
+
+    def test_each_window_goes_once_copied(self):
+        # when window j is drawn, the copier holds window j - 1 at most
+        windows = _windows(6)
+        refs, held = [], []
+
+        def drawn():
+            while windows:
+                held.append([r() is not None for r in refs[:-1]])
+                w = windows.pop(0)
+                refs.append(weakref.ref(w))
+                yield w
+
+        x, _, _, ids = trainer._stack_windows(drawn(), 6)
+        assert len(ids) == 6 and x.shape[0] == 6
+        assert not any(any(alive) for alive in held)
+
+
+class TestTrainCheckpointTakesTheSnapshot:
+    """train() builds its checkpoint from the snapshot's own copies, not from
+    copies of them, and writes the bytes from_state's copies would."""
+
+    def test_arrays_are_the_snapshot_and_bytes_match_from_state(self, tiny_dataset,
+                                                                 monkeypatch, tmp_path):
+        snaps = []
+        snapshot = trainer._snapshot
+
+        def kept(*args):
+            snaps.append(snapshot(*args))
+            return snaps[-1]
+
+        monkeypatch.setattr(trainer, "_snapshot", kept)
+        cfg = quick_cfg(max_epochs=1)
+        ck = train(cfg, dataset=tiny_dataset)
+        snap = snaps[-1]
+        for kind, entries in (("param", snap["params"]), ("buffer", snap["buffers"])):
+            for name, arr in entries:
+                assert np.shares_memory(ck.arrays[f"{kind}:{name}"], arr), name
+        for name, m, v in snap["moments"]:
+            assert np.shares_memory(ck.arrays[f"adam_m:{name}"], m)
+            assert np.shares_memory(ck.arrays[f"adam_v:{name}"], v)
+        copied = Checkpoint.from_state(cfg.variant, cfg.model_config(2), cfg,
+                                       tuple(ck.manifest["classes"]), ck.manifest["epoch"],
+                                       ck.manifest["best_score"], **snap)
+        assert not any(np.shares_memory(a, b) for a in copied.arrays.values()
+                       for b in ck.arrays.values())
+        ck.save(tmp_path / "train.ckpt")
+        copied.save(tmp_path / "copied.ckpt")
+        assert (tmp_path / "train.ckpt").read_bytes() == (tmp_path / "copied.ckpt").read_bytes()
