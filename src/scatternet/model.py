@@ -215,6 +215,12 @@ class Conv1d(Module):
                              act=act)
 
 
+def _spec_conv(spec: LayerSpec) -> Conv1d:
+    """The conv of a "conv" spec row, padded by kernel // 2 on each side."""
+    return Conv1d(spec.in_channels, spec.out_channels, spec.kernel,
+                  stride=spec.stride, padding=spec.kernel // 2)
+
+
 class BatchNorm1d(Module):
     def __init__(self, channels: int) -> None:
         super().__init__()
@@ -381,9 +387,9 @@ class Model(Module):
         by_name = {s.name: s for s in self.specs}
 
         stem = by_name["conv1d.1"]
-        self.stem = self._add_child("stem", Conv1d(stem.in_channels, stem.out_channels,
-                                                   stem.kernel, stride=2, padding=3))
+        self.stem = self._add_child("stem", _spec_conv(stem))
         self.stem_bn = self._add_child("stem_bn", BatchNorm1d(stem.out_channels))
+        self.pool = by_name["maxpool.1"]
 
         self.stages: list[list[Module]] = []
         for i in range(1, 5):
@@ -403,8 +409,7 @@ class Model(Module):
             self.stages.append(blocks)
 
         head = by_name["conv1d.2"]
-        self.head = self._add_child("head", Conv1d(head.in_channels, head.out_channels,
-                                                   1, stride=2))
+        self.head = self._add_child("head", _spec_conv(head))
         self.head_bn = self._add_child("head_bn", BatchNorm1d(head.out_channels))
         self.attention = self._add_child(
             "attention", AttentionBlock(head.out_channels, config.heads,
@@ -425,7 +430,7 @@ class Model(Module):
     def _trunk(self, x: Tensor, mode: str) -> Tensor:
         """The stem, the max pool, the stages and the head conv."""
         h = self.stem.forward(x, mode, self.stem_bn)
-        h = T.maxpool1d(h, kernel=3, stride=2, padding=1)
+        h = T.maxpool1d(h, self.pool.kernel, self.pool.stride, self.pool.kernel // 2)
         for blocks in self.stages:
             for block in blocks:
                 h = block.forward(h, mode)
@@ -434,10 +439,7 @@ class Model(Module):
     def forward(self, x: Tensor, aux: Tensor, mode: str = "eval") -> Tensor:
         if mode not in ("train", "eval"):
             raise ConfigError(f"mode must be train or eval, got {mode!r}")
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
-        if not isinstance(aux, Tensor):
-            aux = Tensor(aux)
+        x, aux = T._coerce(x), T._coerce(aux)
         if x.ndim != 3 or x.shape[1] != self.config.n_leads:
             raise ShapeError(f"expected (B, {self.config.n_leads}, L), got {x.shape}")
         if x.shape[2] != self.config.window:

@@ -64,7 +64,6 @@ class Window:
     target: np.ndarray                      # (K,) binary
     aux: np.ndarray                         # (2,)
     record_id: str
-    offset: int
 
 
 # (low, high) ranges the power-line and baseline-drift corruptions draw from
@@ -277,8 +276,7 @@ def make_window(piece: Record, table: dict[str, int], k: int,
     if rng is not None and aug is not None:
         data = augment(data, rng, aug)
     return Window(data=data, target=target_vector(piece.labels, table, k),
-                  aux=aux_features(piece), record_id=piece.id,
-                  offset=piece.origin_offset + start)
+                  aux=aux_features(piece), record_id=piece.id)
 
 
 # -- synthetic data -------------------------------------------------------------------

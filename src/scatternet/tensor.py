@@ -138,41 +138,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, *shape)
-
-    def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
-
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
 
 
 def _walked(g) -> None:
@@ -440,10 +410,8 @@ def reshape(x, *shape) -> Tensor:
     return Tensor._result(data, (x,), backward)
 
 
-def transpose(x, axes: tuple[int, ...] | None = None) -> Tensor:
+def transpose(x, axes: tuple[int, ...]) -> Tensor:
     x = _coerce(x)
-    if axes is None:
-        axes = tuple(reversed(range(x.data.ndim)))
     axes = tuple(axes)
     data = x.data.transpose(axes)
     inverse = tuple(np.argsort(axes))
@@ -483,15 +451,10 @@ def tensor_sum(x, axis=None, keepdims: bool = False) -> Tensor:
     return Tensor._result(np.asarray(data), (x,), backward)
 
 
-def mean(x, axis=None, keepdims: bool = False) -> Tensor:
+def mean(x) -> Tensor:
+    """The mean of every element of x."""
     x = _coerce(x)
-    if axis is None:
-        n = x.data.size
-    elif isinstance(axis, tuple):
-        n = int(np.prod([x.data.shape[a] for a in axis]))
-    else:
-        n = x.data.shape[axis]
-    return mul(tensor_sum(x, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(tensor_sum(x), 1.0 / x.data.size)
 
 
 # -- linear algebra -----------------------------------------------------------------
@@ -515,20 +478,16 @@ def matmul(a, b) -> Tensor:
     return Tensor._result(data, (a, b), backward)
 
 
-def linear(x, w, b=None) -> Tensor:
-    """x @ w + b with x (B, F) and w (F, G)."""
-    x, w = _coerce(x), _coerce(w)
+def linear(x, w, b) -> Tensor:
+    """x @ w + b with x (B, F), w (F, G) and b (G,)."""
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise ShapeError("linear expects x (B, F) and w (F, G)")
     if x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"linear: F mismatch {x.data.shape} vs {w.data.shape}")
-    out = matmul(x, w)
-    if b is None:
-        return out
-    b = _coerce(b)
     if b.data.shape != (w.data.shape[1],):
         raise ShapeError("linear bias must have shape (G,)")
-    return add(out, b)
+    return add(matmul(x, w), b)
 
 
 # -- windowed ops over time ------------------------------------------------------------
@@ -614,9 +573,11 @@ def _conv_blocks(phases: list[np.ndarray], w: np.ndarray, stride: int, l_out: in
     run under a ufunc buffer of _TAP_BUFSIZE, and the caller's buffer size is
     back in place at every yield, so the consumer's reductions chunk as
     before. The block is a view of one buffer that the next block
-    overwrites."""
+    overwrites. A batch of no rows yields no blocks."""
     co, ci, k = w.shape
     _, bsz, _ = phases[0].shape
+    if bsz == 0:
+        return
     row_bytes = l_out * phases[0].itemsize
     if bsz * row_bytes <= _BLOCK_BYTES:
         c_step, b_step = min(co, _BLOCK_BYTES // (bsz * row_bytes)), bsz
@@ -816,10 +777,14 @@ def _bn_train_forward(x: np.ndarray, xhat: np.ndarray, gamma: np.ndarray,
 
     Writes the normalized x into ``xhat``, which may be x itself, updates the
     running arrays in place (unbiased variance in the running estimate) and
-    returns (output, inv) with inv = 1 / sqrt(var + eps).
+    returns (output, inv) with inv = 1 / sqrt(var + eps). An x with no
+    samples has no batch statistics: ShapeError, before the running arrays
+    move.
     """
     axes = (0, 2)
     n = x.shape[0] * x.shape[2]
+    if n == 0:
+        raise ShapeError(f"batchnorm1d: training needs samples, got x {x.shape}")
     # One shared mean, byte-equal to x.mean and x.var (which computes the
     # mean again): xhat starts as x - mean, and the variance is the mean of
     # its squares.

@@ -526,6 +526,8 @@ def evaluate_model(model: Model, records: list[Record], wm: WeightMatrix,
                    pooled: bool = False) -> dict:
     """Center-cropped, augmentation-free metrics over a record list. ``bce``
     runs in the engine precision, as the model does."""
+    if not records:
+        raise DataError("evaluate_model: no records to evaluate")
     merged, table = merged_class_table(wm)
     if merged.k != model.config.n_classes:
         raise DataError(f"model has {model.config.n_classes} classes, weight "

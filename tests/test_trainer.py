@@ -1236,3 +1236,25 @@ class TestTrainCheckpointTakesTheSnapshot:
         ck.save(tmp_path / "train.ckpt")
         copied.save(tmp_path / "copied.ckpt")
         assert (tmp_path / "train.ckpt").read_bytes() == (tmp_path / "copied.ckpt").read_bytes()
+
+
+class TestEvaluateEdges:
+    def test_no_records_is_a_data_error(self):
+        with pytest.raises(DataError, match="no records") as info:
+            evaluate_model(_eval_model(), [], synthetic_weight_matrix(2))
+        assert "\n" not in str(info.value)
+
+    def test_records_shorter_than_one_window(self):
+        model = _eval_model(window=512)
+        wm = synthetic_weight_matrix(2)
+        recs = make_synthetic_dataset(3, 2, np.random.default_rng(5))
+        recs = [dataclasses.replace(recs[0], signal=recs[0].signal[:, :200]),
+                dataclasses.replace(recs[1], signal=recs[1].signal[:, :150:2], fs=250.0),
+                dataclasses.replace(recs[2], signal=recs[2].signal[:, :511])]
+        got = evaluate_model(model, recs, wm, batch_size=2)
+        probs, truth, ids, score = evaluate_all_windows_first(model, recs, wm, 2)
+        assert got["ids"] == ids == [r.id for r in recs]
+        assert got["probs"].tobytes() == probs.tobytes()
+        assert got["truth"].tobytes() == truth.tobytes()
+        assert got["score"] == score
+        assert np.isfinite(got["probs"]).all()
