@@ -242,7 +242,6 @@ def predict(p, threshold: float = 0.5) -> np.ndarray:
     """Binarize probabilities at the threshold (inclusive)."""
     if not 0.0 < threshold < 1.0:
         raise DataError(f"threshold must be in (0, 1), got {threshold}")
-    p = p.data if isinstance(p, Tensor) else p
     return (np.asarray(p) >= threshold).astype(np.float64)
 
 

@@ -20,7 +20,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import engine
-from .engine import ConfigError, ShapeError, is_finite_number
+from .engine import ConfigError, ShapeError, WindowTooShort, is_finite_number
 from .scatter import scatter_forward
 from . import tensor as T
 from .tensor import Tensor
@@ -445,6 +445,9 @@ class Model(Module):
         if x.shape[2] != self.config.window:
             raise ShapeError(
                 f"window length {x.shape[2]} != configured {self.config.window}")
+        # checked before the stem, so a train forward moves no running buffer
+        if x.shape[2] < MIN_WINDOW:
+            raise WindowTooShort(f"window too short, length {x.shape[2]} < {MIN_WINDOW}")
         if aux.ndim != 2 or aux.shape != (x.shape[0], self.config.aux_features):
             raise ShapeError(f"aux must be (B, {self.config.aux_features})")
 

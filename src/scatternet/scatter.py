@@ -148,7 +148,7 @@ def scatter_forward(x, gamma=None, beta=None, running_mean=None, running_var=Non
     def backward(g):
         if skip is not None and skip.requires_grad:
             skip._accumulate(g)
-        gy = g if bn_backward is None else bn_backward(g, x.requires_grad)
+        gy = g if bn_backward is None else bn_backward(g)
         if not x.requires_grad:
             return
         gp = gy.reshape(pair_shape)

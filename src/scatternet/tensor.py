@@ -141,8 +141,8 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
+    def sum(self):
+        return tensor_sum(self)
 
 
 def _walked(g) -> None:
@@ -256,13 +256,11 @@ def sqrt(x) -> Tensor:
     return Tensor._result(data, (x,), backward)
 
 
-def clip(x, lo: float | None, hi: float | None) -> Tensor:
+def clip(x, lo: float, hi: float | None) -> Tensor:
     """Clamp values; gradient passes only where x stayed inside [lo, hi]."""
     x = _coerce(x)
     data = np.clip(x.data, lo, hi)
-    inside = np.ones_like(x.data, dtype=bool)
-    if lo is not None:
-        inside &= x.data >= lo
+    inside = x.data >= lo
     if hi is not None:
         inside &= x.data <= hi
 
@@ -397,10 +395,8 @@ def softmax(x, axis: int = -1) -> Tensor:
 # -- shape ops --------------------------------------------------------------------
 
 
-def reshape(x, *shape) -> Tensor:
+def reshape(x, shape: tuple[int, ...]) -> Tensor:
     x = _coerce(x)
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
     old = x.data.shape
     data = x.data.reshape(shape)
 
@@ -439,12 +435,12 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
     return Tensor._result(data, tuple(parts), backward)
 
 
-def tensor_sum(x, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_sum(x, axis=None) -> Tensor:
     x = _coerce(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+    data = x.data.sum(axis=axis)
 
     def backward(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         x._accumulate(np.broadcast_to(g, x.data.shape).copy())
 
@@ -804,9 +800,9 @@ def _bn_train_forward(x: np.ndarray, xhat: np.ndarray, gamma: np.ndarray,
 
 
 def _bn_train_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
-                       gamma: Tensor, beta: Tensor, need_x: bool) -> np.ndarray | None:
+                       gamma: Tensor, beta: Tensor) -> np.ndarray:
     """Accumulate training batchnorm's gamma and beta gradients; return the
-    x gradient as a new array when ``need_x``. The elementwise steps of
+    x gradient as a new array. The elementwise steps of
     dxhat - (s1 + xhat * s2) / n run in place, in that operand order."""
     axes = (0, 2)
     n = g.shape[0] * g.shape[2]
@@ -816,8 +812,6 @@ def _bn_train_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
     if gamma.requires_grad:
         t = g * xhat
         gamma._accumulate(t.sum(axis=axes))
-    if not need_x:
-        return None
     dxhat = g * gamma.data[None, :, None]
     t = np.multiply(dxhat, xhat, out=t)
     s1 = dxhat.sum(axis=axes)
@@ -848,10 +842,9 @@ def _bn_eval_block(x: np.ndarray, mean, inv, gamma, beta, xhat: np.ndarray,
 
 
 def _bn_eval_backward(g: np.ndarray, x: np.ndarray, mean: np.ndarray, inv: np.ndarray,
-                      gamma: Tensor, beta: Tensor, need_x: bool) -> np.ndarray | None:
+                      gamma: Tensor, beta: Tensor) -> np.ndarray:
     """Accumulate eval batchnorm's gamma and beta gradients, recomputing
-    xhat from its input x; return the x gradient as a new array when
-    ``need_x``."""
+    xhat from its input x; return the x gradient as a new array."""
     if beta.requires_grad:
         beta._accumulate(g.sum(axis=(0, 2)))
     if gamma.requires_grad:
@@ -859,14 +852,14 @@ def _bn_eval_backward(g: np.ndarray, x: np.ndarray, mean: np.ndarray, inv: np.nd
         t *= inv[None, :, None]
         t *= g
         gamma._accumulate(t.sum(axis=(0, 2)))
-    return g * (gamma.data * inv)[None, :, None] if need_x else None
+    return g * (gamma.data * inv)[None, :, None]
 
 
 def _bn_step(x: np.ndarray, gamma: Tensor, beta: Tensor, rm: np.ndarray,
              rv: np.ndarray, training: bool, own_x: bool):
-    """Batchnorm of x (B, C, L): (output, backward), where backward(g, need_x)
+    """Batchnorm of x (B, C, L): (output, backward), where backward(g)
     accumulates the gamma and beta gradients and returns the x gradient as
-    a new array when ``need_x``.
+    a new array.
 
     Training mode normalizes with batch statistics and updates the running
     arrays in place; the normalized x overwrites x itself when the caller
@@ -878,16 +871,14 @@ def _bn_step(x: np.ndarray, gamma: Tensor, beta: Tensor, rm: np.ndarray,
     if training:
         xhat = x if own_x else np.empty_like(x)
         data, inv = _bn_train_forward(x, xhat, gamma.data, beta.data, rm, rv)
-        return data, lambda g, need_x: _bn_train_backward(g, xhat, inv, gamma, beta,
-                                                          need_x)
+        return data, lambda g: _bn_train_backward(g, xhat, inv, gamma, beta)
     mean, inv = _bn_eval_stats(rm, rv)
     xhat_dtype = np.result_type(x, mean, inv)
     data = np.empty(x.shape, dtype=np.result_type(gamma.data, xhat_dtype, beta.data))
     xhat = data if data.dtype == xhat_dtype else np.empty(x.shape, dtype=xhat_dtype)
     _bn_eval_block(x, mean[None, :, None], inv[None, :, None],
                    gamma.data[None, :, None], beta.data[None, :, None], xhat, data)
-    return data, lambda g, need_x: _bn_eval_backward(g, x, mean, inv, gamma, beta,
-                                                     need_x)
+    return data, lambda g: _bn_eval_backward(g, x, mean, inv, gamma, beta)
 
 
 def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
@@ -906,8 +897,8 @@ def batchnorm1d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarra
     data, bn_backward = _bn_step(x.data, gamma, beta, rm, rv, training, own_x=False)
 
     def backward(g):
-        gx = bn_backward(g, x.requires_grad)
-        if gx is not None:
+        gx = bn_backward(g)
+        if x.requires_grad:
             x._accumulate_fresh(gx)
 
     return Tensor._result(data, (x, gamma, beta), backward)
@@ -976,8 +967,6 @@ def conv_bn_act(x, w, b, gamma, beta, running_mean: np.ndarray,
         # the swish writes over its input, which backward no longer reads
         sig = np.empty_like(data) if record else None
         _sigmoid(data, sig, data)
-    conv_grad = x.requires_grad or w.requires_grad or (
-        bias is not None and bias.requires_grad)
 
     def backward(g):
         if act:
@@ -986,9 +975,7 @@ def conv_bn_act(x, w, b, gamma, beta, running_mean: np.ndarray,
             # a swish gradient is a new array this node no longer writes;
             # the node's own gradient must be copied
             (skip._accumulate_fresh if act else skip._accumulate)(g)
-        gy = bn_backward(g, conv_grad)
-        if gy is not None:
-            _conv_backward(gy, x, w, bias, stride, padding)
+        _conv_backward(bn_backward(g), x, w, bias, stride, padding)
 
     return Tensor._result(data, parents, backward)
 

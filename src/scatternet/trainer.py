@@ -98,10 +98,8 @@ class TrainConfig:
         return base
 
     def augment_config(self) -> AugmentConfig:
-        return AugmentConfig(power_prob=self.power_prob,
-                             gauss_prob=self.gauss_prob,
-                             drift_prob=self.drift_prob,
-                             gauss_std=self.gauss_std)
+        return AugmentConfig(**{f.name: getattr(self, f.name)
+                                for f in dataclasses.fields(AugmentConfig)})
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -634,14 +632,12 @@ def train(cfg: TrainConfig, dataset: tuple[list[Record], WeightMatrix] | None = 
         order = engine.rng().permutation(len(train_pieces))
         losses, bces = [], []
         for lo in range(0, len(order), cfg.batch_size):
-            batch_idx = order[lo:lo + cfg.batch_size]
-            windows = []
-            for pi in batch_idx:
-                piece = train_pieces[pi]
-                rng = engine.derived_rng(cfg.seed, piece.id, epoch)
-                windows.append(make_window(piece, table, merged.k,
-                                           out_len=mcfg.window, rng=rng, aug=aug))
-            x, aux, t, _ = _stack_windows(windows, len(windows))
+            pieces = [train_pieces[pi] for pi in order[lo:lo + cfg.batch_size]]
+            windows = (make_window(piece, table, merged.k, out_len=mcfg.window,
+                                   rng=engine.derived_rng(cfg.seed, piece.id, epoch),
+                                   aug=aug)
+                       for piece in pieces)
+            x, aux, t, _ = _stack_windows(windows, len(pieces))
             p = _forward_probs(model, x, aux, "train")
             loss = combined_loss(Tensor(t), p, merged)
             if not np.isfinite(loss.data):

@@ -554,3 +554,22 @@ class TestAttentionChunkMemory:
         assert out.data.tobytes() == want.data.tobytes()
         assert bsz == 4 * rows
         assert peak < 2 * rows * row_scores + slack, (peak, rows * row_scores)
+
+
+class TestWindowBelowMinimum:
+    """A forward below MIN_WINDOW fails with one line before the stem, so a
+    train forward moves no running buffer."""
+
+    @pytest.mark.parametrize("variant", ["baseline", "scatter"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_fails_before_any_buffer_moves(self, variant, mode):
+        window = MIN_WINDOW - 1
+        model = build_model(ModelConfig(n_classes=3, window=window, width_scale=0.25,
+                                        fc_hidden=8), variant)
+        before = [(name, b.copy()) for name, b in model.named_buffers()]
+        x, aux = _batch(2, window, 26)
+        with pytest.raises(WindowTooShort) as info:
+            model.forward(x, aux, mode)
+        assert str(info.value) and "\n" not in str(info.value)
+        for (name, want), (_, got) in zip(before, model.named_buffers()):
+            assert got.tobytes() == want.tobytes(), name

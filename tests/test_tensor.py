@@ -10,6 +10,7 @@ import pytest
 from scatternet import engine
 from scatternet import tensor as T
 from scatternet.engine import ConfigError, ShapeError, WindowTooShort
+from scatternet.scatter import scatter_forward
 from scatternet.tensor import (Tensor, adaptive_avgpool1d, batchnorm1d, concat,
                                conv1d, dropout, grad_check, linear, maxpool1d,
                                sigmoid, softmax, swish, tensor_sum)
@@ -1355,3 +1356,72 @@ class TestPaddedInputRebuilt:
         assert held < out.data.nbytes + x.data.nbytes // 4, (held, out.data.nbytes)
         out.backward(np.ones_like(out.data))
         assert x.grad.shape == x.data.shape
+
+
+def _bn_op_runs(op, x_data, co, g, seed, others=()):
+    """op(x, gamma, beta, rm, rv) run twice, with x needing a gradient and
+    without: per run x.grad, then gamma's and beta's gradients, both running
+    arrays and the gradients of the ``others`` tensors op also reads."""
+    rng = np.random.default_rng(seed)
+    gamma0, beta0 = rng.random(co) + 0.5, rng.standard_normal(co) * 0.2
+    rm0 = rng.standard_normal(co).astype(g.dtype)
+    rv0 = (rng.random(co) + 0.1).astype(g.dtype)
+    runs = []
+    for needs in (True, False):
+        x = Tensor(x_data, requires_grad=needs)
+        gamma, beta = Tensor(gamma0, requires_grad=True), Tensor(beta0, requires_grad=True)
+        rm, rv = rm0.copy(), rv0.copy()
+        for t in others:
+            t.grad = None
+        op(x, gamma, beta, rm, rv).backward(g)
+        runs.append((x.grad, gamma.grad, beta.grad, rm, rv, *(t.grad for t in others)))
+    return runs
+
+
+class TestBatchnormInputWithoutGradient:
+    """Batchnorm over an x that needs no gradient gives gamma's and beta's
+    gradients and the running arrays of the run where x needs one, byte for
+    byte, and leaves x without a gradient."""
+
+    def _check(self, runs):
+        (gx, *want), (no_gx, *got) = runs
+        assert gx is not None and no_gx is None
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            assert a is None or (a.dtype == b.dtype and a.tobytes() == b.tobytes())
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_batchnorm1d(self, training, precision):
+        engine.set_precision(precision)
+        rng = np.random.default_rng(70)
+        x = rng.standard_normal((3, 4, 17)).astype(engine.dtype())
+        g = rng.standard_normal(x.shape).astype(engine.dtype())
+        self._check(_bn_op_runs(
+            lambda xx, gg, bb, rm, rv: batchnorm1d(xx, gg, bb, rm, rv, training=training),
+            x, 4, g, 71))
+
+    @pytest.mark.parametrize("conv_grad", [True, False])
+    @pytest.mark.parametrize("act", [True, False])
+    def test_conv_bn_act_train(self, conv_grad, act):
+        # without conv_grad only gamma and beta need a gradient
+        rng = np.random.default_rng(72)
+        x = rng.standard_normal((3, 4, 20)).astype(np.float32)
+        w = Tensor(rng.standard_normal((5, 4, 3)) * 0.5, requires_grad=conv_grad)
+        b = Tensor(rng.standard_normal(5) * 0.1, requires_grad=conv_grad)
+        g = rng.standard_normal((3, 5, 10)).astype(np.float32)
+        self._check(_bn_op_runs(
+            lambda xx, gg, bb, rm, rv: T.conv_bn_act(xx, w, b, gg, bb, rm, rv,
+                                                     training=True, stride=2,
+                                                     padding=1, act=act),
+            x, 5, g, 73, others=(w, b)))
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_scatter_forward(self, training):
+        rng = np.random.default_rng(74)
+        x = rng.standard_normal((2, 3, 21)).astype(np.float32)
+        g = rng.standard_normal((2, 6, 11)).astype(np.float32)
+        self._check(_bn_op_runs(
+            lambda xx, gg, bb, rm, rv: scatter_forward(xx, gg, bb, rm, rv,
+                                                       training=training),
+            x, 6, g, 75))

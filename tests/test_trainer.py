@@ -16,9 +16,10 @@ from scatternet.engine import ConfigError, DataError, NumericalAbort, ShapeError
 from scatternet.loss import (discrete_challenge_score, identity_weight_matrix,
                              merged_class_table, predict)
 from scatternet.model import ModelConfig, build_model, tiny_config
-from scatternet.pipeline import (filter_and_split, load_dataset,
+from scatternet.pipeline import (PIECE_LEN, filter_and_split, load_dataset,
                                  make_synthetic_dataset, make_window, prepare_pieces,
-                                 synthetic_weight_matrix, write_dataset)
+                                 resample_to_500, synthetic_weight_matrix,
+                                 write_dataset)
 from scatternet.tensor import Tensor
 from scatternet.trainer import (Adam, Checkpoint, TrainConfig, adam_step,
                                 config_from_mapping, evaluate_model,
@@ -1258,3 +1259,52 @@ class TestEvaluateEdges:
         assert got["truth"].tobytes() == truth.tobytes()
         assert got["score"] == score
         assert np.isfinite(got["probs"]).all()
+
+
+def _samples_for_500hz_length(fs, m):
+    """The fewest samples at fs whose 500 Hz resampling has at least m."""
+    n = max(1, int((m - 1) * fs / 500))
+    while round((n - 1) / fs * 500) + 1 < m:
+        n += 1
+    return n
+
+
+class TestEvaluateSamplingRates:
+    """Records at rates other than 500 Hz whose resampled lengths sit at the
+    edges: 2 samples, one short of a window, a window, a piece and one more
+    than a piece (two pieces)."""
+
+    @pytest.mark.parametrize("fs", [1000.0, 257.0])
+    def test_bytes_equal_building_every_window_first(self, fs):
+        model = _eval_model(window=512)
+        wm = synthetic_weight_matrix(2)
+        targets = [2, 511, 512, PIECE_LEN, PIECE_LEN + 1]
+        base = make_synthetic_dataset(len(targets), 2, np.random.default_rng(6))
+        rng = np.random.default_rng(7)
+        recs = [dataclasses.replace(
+                    rec, fs=fs, signal=rng.standard_normal(
+                        (12, _samples_for_500hz_length(fs, m))).astype(np.float32))
+                for rec, m in zip(base, targets)]
+        lengths = [resample_to_500(r).signal.shape[1] for r in recs]
+        if fs > 500:
+            assert lengths == targets
+        else:
+            # each input step spans about two output steps, so some lengths
+            # are skipped; each record lands on the first one at or above
+            assert all(m <= n <= m + 1 for m, n in zip(targets, lengths))
+        got = evaluate_model(model, recs, wm, batch_size=2)
+        probs, truth, ids, score = evaluate_all_windows_first(model, recs, wm, 2)
+        assert got["ids"] == ids
+        assert len(ids) == len(recs) + 1  # the last record gives two pieces
+        assert got["probs"].tobytes() == probs.tobytes()
+        assert got["truth"].tobytes() == truth.tobytes()
+        assert got["score"] == score
+        assert np.isfinite(got["probs"]).all()
+
+    def test_rate_leaving_one_sample_is_a_data_error(self):
+        rec = make_synthetic_dataset(1, 2, np.random.default_rng(8))[0]
+        rec = dataclasses.replace(rec, fs=2000.0, signal=rec.signal[:, :2])
+        assert resample_to_500(rec).signal.shape[1] == 1
+        with pytest.raises(DataError, match="1 sample at 500 Hz") as info:
+            evaluate_model(_eval_model(), [rec], synthetic_weight_matrix(2))
+        assert "\n" not in str(info.value)
