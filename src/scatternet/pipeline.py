@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from . import engine
-from .engine import DataError, ShapeError, is_finite_number
+from .engine import DataError, ShapeError, atomic_write, is_finite_number
 from .loss import WeightMatrix, identity_weight_matrix, load_weight_matrix, \
     save_weight_matrix
 
@@ -52,8 +52,8 @@ class Record:
             raise DataError(f"record {self.id}: empty signal")
         if not np.all(np.isfinite(sig)):
             raise DataError(f"record {self.id}: non-finite samples")
-        if self.fs <= 0:
-            raise DataError(f"record {self.id}: fs must be > 0")
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise DataError(f"record {self.id}: fs must be a finite number > 0")
         self.signal = sig
         self.labels = tuple(self.labels)
 
@@ -334,10 +334,11 @@ def write_dataset(path, records: list[Record], wm: WeightMatrix) -> None:
                 "age": rec.age,
                 "sex": rec.sex,
             }
-            with open(os.path.join(path, f"{rec.id}.json"), "w", encoding="utf-8") as fh:
+            with atomic_write(os.path.join(path, f"{rec.id}.json"), "w",
+                              encoding="utf-8") as fh:
                 json.dump(manifest, fh, sort_keys=True)
-            blob = np.ascontiguousarray(rec.signal, dtype="<f4")
-            blob.tofile(os.path.join(path, f"{rec.id}.f32"))
+            with atomic_write(os.path.join(path, f"{rec.id}.f32"), "wb") as fh:
+                np.ascontiguousarray(rec.signal, dtype="<f4").tofile(fh)
         save_weight_matrix(os.path.join(path, "classes.csv"), wm)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
@@ -394,6 +395,9 @@ def load_dataset(path) -> tuple[list[Record], WeightMatrix]:
         if not name.endswith(".json"):
             continue
         manifest = _read_manifest(path, name)
+        if name != f"{manifest['id']}.json":
+            raise DataError(f"manifest {name}: id {manifest['id']!r} does not match "
+                            "its file name")
         blob_path = os.path.join(path, f"{manifest['id']}.f32")
         if not os.path.isfile(blob_path):
             raise DataError(f"record {manifest['id']}: missing .f32 payload")

@@ -8,6 +8,13 @@ and its parents as the walk reaches it, so the arrays the closures saved
 are freed during the walk, and a second walk raises. Everything runs in the
 engine's active precision.
 
+Most ops are written as their forward value plus a gradient expression for
+each input, and two helpers build the node: ``_unary`` for one input and
+``_binary`` for two, which also sums each gradient back over numpy
+broadcasting. The rest write their own backward closure: concat has n
+inputs, swish hands x a new gradient array without a copy, and the pools,
+batchnorm and the fused conv nodes route gradients of their own.
+
 Only the ops the model family needs are implemented, but each one handles
 the general shapes it advertises, and each differentiable op is covered by
 a finite-difference check in the test suite.
@@ -48,8 +55,6 @@ class Tensor:
         out._parents = ()
         out._backward = None
         out.requires_grad = _records(parents)
-        # the closure is kept only when recorded, so a one-input backward can
-        # assume that its input requires grad
         if out.requires_grad:
             out._parents = tuple(parents)
             out._backward = backward
@@ -171,103 +176,77 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _binary(a: Tensor, b: Tensor, data: np.ndarray,
+            grad_a: Callable[[np.ndarray], np.ndarray],
+            grad_b: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """The node of an op over a and b with output ``data``. Its backward
+    gives each input that requires grad its gradient, grad_a(g) or
+    grad_b(g) summed back to the input's shape, a before b."""
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(grad_a(g), a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(grad_b(g), b.data.shape))
+
+    return Tensor._result(data, (a, b), backward)
+
+
+def _unary(x: Tensor, data: np.ndarray,
+           grad: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """The node of an op over x with output ``data``; its backward
+    accumulates grad(g) into x. The closure is kept only when the node is
+    recorded, so it runs only when x requires grad."""
+    return Tensor._result(data, (x,), lambda g: x._accumulate(grad(g)))
+
+
 # -- elementwise arithmetic -----------------------------------------------------
 
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return Tensor._result(data, (a, b), backward)
+    return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g)
 
 
 def sub(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
-
-    return Tensor._result(data, (a, b), backward)
+    return _binary(a, b, a.data - b.data, lambda g: g, lambda g: -g)
 
 
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return Tensor._result(data, (a, b), backward)
+    return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return Tensor._result(data, (a, b), backward)
+    return _binary(a, b, a.data / b.data, lambda g: g / b.data,
+                   lambda g: -g * a.data / (b.data * b.data))
 
 
 def log(x) -> Tensor:
     x = _coerce(x)
-    data = np.log(x.data)
-
-    def backward(g):
-        x._accumulate(g / x.data)
-
-    return Tensor._result(data, (x,), backward)
+    return _unary(x, np.log(x.data), lambda g: g / x.data)
 
 
 def exp(x) -> Tensor:
     x = _coerce(x)
     data = np.exp(x.data)
-
-    def backward(g):
-        x._accumulate(g * data)
-
-    return Tensor._result(data, (x,), backward)
+    return _unary(x, data, lambda g: g * data)
 
 
 def sqrt(x) -> Tensor:
     x = _coerce(x)
     data = np.sqrt(x.data)
-
-    def backward(g):
-        x._accumulate(g * (0.5 / data))
-
-    return Tensor._result(data, (x,), backward)
+    return _unary(x, data, lambda g: g * (0.5 / data))
 
 
 def clip(x, lo: float, hi: float | None) -> Tensor:
     """Clamp values; gradient passes only where x stayed inside [lo, hi]."""
     x = _coerce(x)
-    data = np.clip(x.data, lo, hi)
     inside = x.data >= lo
     if hi is not None:
         inside &= x.data <= hi
-
-    def backward(g):
-        x._accumulate(g * inside)
-
-    return Tensor._result(data, (x,), backward)
+    return _unary(x, np.clip(x.data, lo, hi), lambda g: g * inside)
 
 
 # Byte budget of one block in the blocked forward loops: conv1d's output
@@ -356,11 +335,7 @@ def sigmoid(x) -> Tensor:
     x = _coerce(x)
     data = np.empty_like(x.data)
     _sigmoid(x.data, data, None)
-
-    def backward(g):
-        x._accumulate(g * data * (1.0 - data))
-
-    return Tensor._result(data, (x,), backward)
+    return _unary(x, data, lambda g: g * data * (1.0 - data))
 
 
 def swish(x) -> Tensor:
@@ -384,12 +359,8 @@ def softmax(x, axis: int = -1) -> Tensor:
     data = x.data - x.data.max(axis=axis, keepdims=True)
     np.exp(data, out=data)
     data /= data.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
-        x._accumulate(data * (g - inner))
-
-    return Tensor._result(data, (x,), backward)
+    return _unary(x, data,
+                  lambda g: data * (g - (g * data).sum(axis=axis, keepdims=True)))
 
 
 # -- shape ops --------------------------------------------------------------------
@@ -398,24 +369,14 @@ def softmax(x, axis: int = -1) -> Tensor:
 def reshape(x, shape: tuple[int, ...]) -> Tensor:
     x = _coerce(x)
     old = x.data.shape
-    data = x.data.reshape(shape)
-
-    def backward(g):
-        x._accumulate(g.reshape(old))
-
-    return Tensor._result(data, (x,), backward)
+    return _unary(x, x.data.reshape(shape), lambda g: g.reshape(old))
 
 
 def transpose(x, axes: tuple[int, ...]) -> Tensor:
     x = _coerce(x)
     axes = tuple(axes)
-    data = x.data.transpose(axes)
     inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        x._accumulate(g.transpose(inverse))
-
-    return Tensor._result(data, (x,), backward)
+    return _unary(x, x.data.transpose(axes), lambda g: g.transpose(inverse))
 
 
 def concat(tensors: Iterable, axis: int = 0) -> Tensor:
@@ -437,14 +398,9 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
 
 def tensor_sum(x, axis=None) -> Tensor:
     x = _coerce(x)
-    data = x.data.sum(axis=axis)
-
-    def backward(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        x._accumulate(np.broadcast_to(g, x.data.shape).copy())
-
-    return Tensor._result(np.asarray(data), (x,), backward)
+    # backward hands on a read-only broadcast view; _accumulate copies it
+    return _unary(x, np.asarray(x.data.sum(axis=axis)), lambda g: np.broadcast_to(
+        g if axis is None else np.expand_dims(g, axis), x.data.shape))
 
 
 def mean(x) -> Tensor:
@@ -461,17 +417,8 @@ def matmul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError("matmul expects rank >= 2 on both sides")
-    data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            ga = g @ b.data.swapaxes(-1, -2)
-            a._accumulate(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = a.data.swapaxes(-1, -2) @ g
-            b._accumulate(_unbroadcast(gb, b.data.shape))
-
-    return Tensor._result(data, (a, b), backward)
+    return _binary(a, b, a.data @ b.data, lambda g: g @ b.data.swapaxes(-1, -2),
+                   lambda g: a.data.swapaxes(-1, -2) @ g)
 
 
 def linear(x, w, b) -> Tensor:
@@ -986,22 +933,11 @@ def dropout(x, p: float, training: bool) -> Tensor:
     if not 0.0 <= p < 1.0:
         raise engine.ConfigError(f"dropout rate must be in [0, 1), got {p}")
     if not training or p == 0.0:
-        data = x.data
-
-        def backward_id(g):
-            x._accumulate(g)
-
-        return Tensor._result(data, (x,), backward_id)
-
+        return _unary(x, x.data, lambda g: g)
     keep = engine.rng().random(x.data.shape) >= p
     scale = np.asarray(1.0 / (1.0 - p), dtype=x.data.dtype)
     mask = keep.astype(x.data.dtype) * scale
-    data = x.data * mask
-
-    def backward(g):
-        x._accumulate(g * mask)
-
-    return Tensor._result(data, (x,), backward)
+    return _unary(x, x.data * mask, lambda g: g * mask)
 
 
 # -- gradient checking ------------------------------------------------------------------

@@ -524,6 +524,8 @@ def evaluate_model(model: Model, records: list[Record], wm: WeightMatrix,
                    pooled: bool = False) -> dict:
     """Center-cropped, augmentation-free metrics over a record list. ``bce``
     runs in the engine precision, as the model does."""
+    if batch_size < 1:
+        raise ConfigError(f"evaluate_model: batch_size must be >= 1, got {batch_size}")
     if not records:
         raise DataError("evaluate_model: no records to evaluate")
     merged, table = merged_class_table(wm)

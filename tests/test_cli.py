@@ -100,6 +100,14 @@ class TestExitCodes:
         assert main(["train", "--data", str(tmp_path / "absent")]) == 2
         assert "does not exist" in capsys.readouterr().err
 
+    def test_manifest_named_after_another_record_is_data_error(self, capsys, tmp_path):
+        write_dataset(tmp_path, make_synthetic_dataset(2, 2, np.random.default_rng(42)),
+                      synthetic_weight_matrix(2))
+        (tmp_path / "zzz.json").write_bytes((tmp_path / "syn0000.json").read_bytes())
+        assert main(["train", "--data", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "zzz.json" in err
+
     def test_missing_checkpoint_is_data_error(self, capsys, tmp_path, dataset_dir):
         assert main(["eval", "--ckpt", str(tmp_path / "no.ckpt"),
                      "--data", str(dataset_dir)]) == 2

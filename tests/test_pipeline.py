@@ -466,6 +466,11 @@ class TestPreparePiecesAndWindows:
         with pytest.raises(DataError):
             make_record(np.zeros((12, 10)), fs=0.0)
 
+    @pytest.mark.parametrize("fs", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rate_is_a_data_error(self, fs):
+        with pytest.raises(DataError, match="^record r0: fs must be a finite number > 0$"):
+            make_record(np.zeros((12, 10)), fs=fs)
+
 
 class TestDatasetDirectory:
     def _write(self, tmp_path):
@@ -498,6 +503,25 @@ class TestDatasetDirectory:
             save_weight_matrix(path, broken)
         assert path.read_text(encoding="utf-8") == "keep"
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_records_written_atomically(self, tmp_path):
+        # a record that fails part way leaves its old manifest and payload
+        # and no temporary file
+        out = self._write(tmp_path)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        rec = load_dataset(out)[0][0]
+        with pytest.raises(TypeError):
+            write_dataset(out, [dataclasses.replace(rec, age=object())],
+                          synthetic_weight_matrix(2))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_manifest_named_after_another_record_is_a_data_error(self, tmp_path):
+        # a copy of syn0000.json under another name would load syn0000 twice
+        out = self._write(tmp_path)
+        (out / "zzz.json").write_bytes((out / "syn0000.json").read_bytes())
+        with pytest.raises(DataError, match="^manifest zzz.json: id 'syn0000' does "
+                                            "not match its file name$"):
+            load_dataset(out)
 
 
 class TestRecordLengthCap:

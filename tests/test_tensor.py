@@ -1425,3 +1425,287 @@ class TestBatchnormInputWithoutGradient:
             lambda xx, gg, bb, rm, rv: scatter_forward(xx, gg, bb, rm, rv,
                                                        training=training),
             x, 6, g, 75))
+
+
+# -- ops built by _unary and _binary against their hand-written nodes ----------------------
+#
+# Each op in OwnClosureOps is a copy of the op as it was when it wrote its
+# own backward closure. The same op built by tensor._unary or
+# tensor._binary must give the same output and gradient bytes.
+
+
+class OwnClosureOps:
+    @staticmethod
+    def add(a, b):
+        a, b = T._coerce(a), T._coerce(b)
+        data = a.data + b.data
+
+        def backward(g):
+            if a.requires_grad:
+                a._accumulate(T._unbroadcast(g, a.data.shape))
+            if b.requires_grad:
+                b._accumulate(T._unbroadcast(g, b.data.shape))
+
+        return Tensor._result(data, (a, b), backward)
+
+    @staticmethod
+    def sub(a, b):
+        a, b = T._coerce(a), T._coerce(b)
+        data = a.data - b.data
+
+        def backward(g):
+            if a.requires_grad:
+                a._accumulate(T._unbroadcast(g, a.data.shape))
+            if b.requires_grad:
+                b._accumulate(T._unbroadcast(-g, b.data.shape))
+
+        return Tensor._result(data, (a, b), backward)
+
+    @staticmethod
+    def mul(a, b):
+        a, b = T._coerce(a), T._coerce(b)
+        data = a.data * b.data
+
+        def backward(g):
+            if a.requires_grad:
+                a._accumulate(T._unbroadcast(g * b.data, a.data.shape))
+            if b.requires_grad:
+                b._accumulate(T._unbroadcast(g * a.data, b.data.shape))
+
+        return Tensor._result(data, (a, b), backward)
+
+    @staticmethod
+    def div(a, b):
+        a, b = T._coerce(a), T._coerce(b)
+        data = a.data / b.data
+
+        def backward(g):
+            if a.requires_grad:
+                a._accumulate(T._unbroadcast(g / b.data, a.data.shape))
+            if b.requires_grad:
+                b._accumulate(T._unbroadcast(-g * a.data / (b.data * b.data),
+                                             b.data.shape))
+
+        return Tensor._result(data, (a, b), backward)
+
+    @staticmethod
+    def log(x):
+        x = T._coerce(x)
+        data = np.log(x.data)
+
+        def backward(g):
+            x._accumulate(g / x.data)
+
+        return Tensor._result(data, (x,), backward)
+
+    @staticmethod
+    def exp(x):
+        x = T._coerce(x)
+        data = np.exp(x.data)
+
+        def backward(g):
+            x._accumulate(g * data)
+
+        return Tensor._result(data, (x,), backward)
+
+    @staticmethod
+    def sqrt(x):
+        x = T._coerce(x)
+        data = np.sqrt(x.data)
+
+        def backward(g):
+            x._accumulate(g * (0.5 / data))
+
+        return Tensor._result(data, (x,), backward)
+
+    @staticmethod
+    def clip(x, lo, hi):
+        x = T._coerce(x)
+        data = np.clip(x.data, lo, hi)
+        inside = x.data >= lo
+        if hi is not None:
+            inside &= x.data <= hi
+
+        def backward(g):
+            x._accumulate(g * inside)
+
+        return Tensor._result(data, (x,), backward)
+
+    @staticmethod
+    def sigmoid(x):
+        x = T._coerce(x)
+        data = np.empty_like(x.data)
+        T._sigmoid(x.data, data, None)
+
+        def backward(g):
+            x._accumulate(g * data * (1.0 - data))
+
+        return Tensor._result(data, (x,), backward)
+
+    @staticmethod
+    def softmax(x, axis=-1):
+        x = T._coerce(x)
+        data = x.data - x.data.max(axis=axis, keepdims=True)
+        np.exp(data, out=data)
+        data /= data.sum(axis=axis, keepdims=True)
+
+        def backward(g):
+            inner = (g * data).sum(axis=axis, keepdims=True)
+            x._accumulate(data * (g - inner))
+
+        return Tensor._result(data, (x,), backward)
+
+    @staticmethod
+    def reshape(x, shape):
+        x = T._coerce(x)
+        old = x.data.shape
+        data = x.data.reshape(shape)
+
+        def backward(g):
+            x._accumulate(g.reshape(old))
+
+        return Tensor._result(data, (x,), backward)
+
+    @staticmethod
+    def transpose(x, axes):
+        x = T._coerce(x)
+        axes = tuple(axes)
+        data = x.data.transpose(axes)
+        inverse = tuple(np.argsort(axes))
+
+        def backward(g):
+            x._accumulate(g.transpose(inverse))
+
+        return Tensor._result(data, (x,), backward)
+
+    @staticmethod
+    def tensor_sum(x, axis=None):
+        x = T._coerce(x)
+        data = x.data.sum(axis=axis)
+
+        def backward(g):
+            if axis is not None:
+                g = np.expand_dims(g, axis)
+            x._accumulate(np.broadcast_to(g, x.data.shape).copy())
+
+        return Tensor._result(np.asarray(data), (x,), backward)
+
+    @staticmethod
+    def matmul(a, b):
+        a, b = T._coerce(a), T._coerce(b)
+        data = a.data @ b.data
+
+        def backward(g):
+            if a.requires_grad:
+                ga = g @ b.data.swapaxes(-1, -2)
+                a._accumulate(T._unbroadcast(ga, a.data.shape))
+            if b.requires_grad:
+                gb = a.data.swapaxes(-1, -2) @ g
+                b._accumulate(T._unbroadcast(gb, b.data.shape))
+
+        return Tensor._result(data, (a, b), backward)
+
+    @staticmethod
+    def dropout(x, p, training):
+        x = T._coerce(x)
+        if not training or p == 0.0:
+            data = x.data
+
+            def backward_id(g):
+                x._accumulate(g)
+
+            return Tensor._result(data, (x,), backward_id)
+
+        keep = engine.rng().random(x.data.shape) >= p
+        scale = np.asarray(1.0 / (1.0 - p), dtype=x.data.dtype)
+        mask = keep.astype(x.data.dtype) * scale
+        data = x.data * mask
+
+        def backward(g):
+            x._accumulate(g * mask)
+
+        return Tensor._result(data, (x,), backward)
+
+
+def _helper_op_cases():
+    """(id, graph, input shapes, positive inputs, requires_grad flags): each
+    graph takes an ops namespace and its input Tensors."""
+    cases = []
+    grads2 = [(True, False), (False, True), (True, True)]
+    for name in ("add", "sub", "mul", "div"):
+        for shapes in [((3, 4), (4,)), ((4,), (3, 4)), ((3, 1), (1, 4)), ((3, 4), (3, 4))]:
+            for rg in grads2:
+                cases.append((f"{name}-{shapes}", lambda o, a, b, n=name: getattr(o, n)(a, b),
+                              shapes, (False, name == "div"), rg))
+        cases.append((f"{name}-scalar", lambda o, a, n=name: getattr(o, n)(a, 0.75),
+                      ((2, 3),), (False,), (True,)))
+    for shapes in [((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5)), ((2, 1, 3, 4), (3, 4, 2))]:
+        for rg in grads2:
+            cases.append((f"matmul-{shapes}", lambda o, a, b: o.matmul(a, b), shapes,
+                          (False, False), rg))
+    unary = [
+        ("log", lambda o, x: o.log(x), True),
+        ("exp", lambda o, x: o.exp(x), False),
+        ("sqrt", lambda o, x: o.sqrt(x), True),
+        ("clip-hi", lambda o, x: o.clip(x, -0.5, 0.5), False),
+        ("clip-no-hi", lambda o, x: o.clip(x, -0.5, None), False),
+        ("sigmoid", lambda o, x: o.sigmoid(x), False),
+        ("softmax-last", lambda o, x: o.softmax(x), False),
+        ("softmax-axis1", lambda o, x: o.softmax(x, axis=1), False),
+        ("reshape", lambda o, x: o.reshape(x, (6, 5)), False),
+        ("transpose", lambda o, x: o.transpose(x, (2, 0, 1)), False),
+        ("sum-all", lambda o, x: o.tensor_sum(x), False),
+        ("sum-axis1", lambda o, x: o.tensor_sum(x, axis=1), False),
+        ("dropout-train", lambda o, x: o.dropout(x, 0.3, training=True), False),
+        ("dropout-p0", lambda o, x: o.dropout(x, 0.0, training=True), False),
+        ("dropout-eval", lambda o, x: o.dropout(x, 0.3, training=False), False),
+    ]
+    for name, graph, positive in unary:
+        for rg in (True, False):
+            cases.append((name, graph, ((2, 3, 5),), (positive,), (rg,)))
+    # x feeds several ops, so its gradient sums all of them
+    for rg in grads2[::2]:
+        cases.append(("shared", lambda o, x, y: o.add(o.mul(x, y), o.exp(x)),
+                      ((2, 3), (3,)), (False, False), rg))
+        cases.append(("shared-twice", lambda o, x, y: o.sub(o.div(x, y), o.tensor_sum(
+            o.mul(x, x), axis=0)), ((2, 3), (3,)), (False, True), rg))
+    return [pytest.param(graph, shapes, positive, rg, precision,
+                         id=f"{name}-{'-'.join('g' if r else 'n' for r in rg)}-{precision}")
+            for name, graph, shapes, positive, rg in cases
+            for precision in ("float32", "float64")]
+
+
+class TestOpsBuiltByHelpers:
+    @pytest.mark.parametrize("graph,shapes,positive,rg,precision", _helper_op_cases())
+    def test_output_and_gradients_match_own_closures(self, graph, shapes, positive, rg,
+                                                     precision):
+        engine.set_precision(precision)
+        rng = np.random.default_rng(90)
+        arrays = []
+        for shape, pos in zip(shapes, positive):
+            a = rng.standard_normal(shape)
+            if pos:
+                a = np.abs(a) + 0.5
+            else:
+                a.flat[:2] = (-0.5, 0.5)  # on clip's bounds, which pass the gradient
+            arrays.append(a)
+
+        def run(ops):
+            engine.seed(91)  # dropout draws the same mask on both sides
+            inputs = [Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, rg)]
+            out = graph(ops, *inputs)
+            if out.requires_grad:
+                g = np.random.default_rng(92).standard_normal(out.shape)
+                out.backward(g.astype(out.data.dtype))
+            return out, inputs
+
+        out, inputs = run(T)
+        want, want_inputs = run(OwnClosureOps)
+        assert out.data.dtype == want.data.dtype and out.shape == want.shape
+        assert out.data.tobytes() == want.data.tobytes()
+        assert out.requires_grad == want.requires_grad
+        for x, y in zip(inputs, want_inputs):
+            assert (x.grad is None) == (y.grad is None)
+            if x.grad is not None:
+                assert x.grad.dtype == y.grad.dtype and x.grad.shape == y.grad.shape
+                assert x.grad.tobytes() == y.grad.tobytes()

@@ -749,6 +749,17 @@ class TestStreamingEval:
 
         assert peak(32) < 1.5 * peak(8)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_a_config_error(self, batch_size, monkeypatch):
+        def no_window(*args, **kwargs):
+            raise AssertionError("a window was made")
+
+        monkeypatch.setattr(trainer, "make_window", no_window)
+        with pytest.raises(ConfigError, match=f"^evaluate_model: batch_size must be "
+                                              f">= 1, got {batch_size}$"):
+            evaluate_model(_eval_model(), _mixed_records(2, 11),
+                           synthetic_weight_matrix(2), batch_size=batch_size)
+
 
 class TestTrainLoop:
     def test_same_seed_same_trajectory(self, tiny_dataset, tmp_path):
