@@ -55,17 +55,19 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="scatternet", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
+    # each flag's dest is its TrainConfig field; a flag left unset is None
     p_train = sub.add_parser("train", help="train a model")
     p_train.add_argument("--data", required=True, help="dataset directory")
-    p_train.add_argument("--weights", default="", help="classes.csv override")
+    p_train.add_argument("--weights", help="classes.csv override")
     p_train.add_argument("--variant", choices=("baseline", "scatter"))
     p_train.add_argument("--config", default="", help="key=value config file")
-    p_train.add_argument("--out", default="", help="checkpoint output path")
+    p_train.add_argument("--out", help="checkpoint output path")
     p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--epochs", type=int, help="override max_epochs")
+    p_train.add_argument("--epochs", type=int, dest="max_epochs", metavar="EPOCHS",
+                         help="override max_epochs")
     p_train.add_argument("--batch-size", type=int)
     p_train.add_argument("--preset", choices=("full", "tiny"))
-    p_train.add_argument("--verbose", action="store_true")
+    p_train.add_argument("--verbose", action="store_true", default=None)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     p_eval.add_argument("--ckpt", required=True)
@@ -126,11 +128,8 @@ def _cmd_train(args) -> int:
     base = TrainConfig()
     if args.config:
         base = config_from_mapping(load_config_file(args.config))
-    flags = {"variant": args.variant, "seed": args.seed, "max_epochs": args.epochs,
-             "batch_size": args.batch_size, "preset": args.preset, "data": args.data,
-             "weights": args.weights or None, "out": args.out or None,
-             "verbose": args.verbose or None}
-    overrides = {k: v for k, v in flags.items() if v is not None}
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     env_seed = os.environ.get("SCATTERNET_SEED")
     if env_seed is not None:
         try:
@@ -265,7 +264,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not args.command:
             raise UsageError(parser.format_help())
-        return _COMMANDS[args.command](args)
+        # a non-finite value ends in one error line, not numpy's warnings first
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -220,9 +220,7 @@ def bce(t, p):
     pc = T.clip(p, EPS_P, 1.0 - EPS_P)
     per_class = T.add(T.mul(t, T.log(pc)), T.mul(T.sub(1.0, t), T.log(T.sub(1.0, pc))))
     per_record = T.mul(T.tensor_sum(per_class, axis=-1), -1.0)
-    out = per_record if t.ndim == 1 else T.mean(per_record)
-    if t.ndim == 1:
-        out = T.reshape(out, ())
+    out = T.reshape(per_record, ()) if t.ndim == 1 else T.mean(per_record)
     return _maybe_float(out, was)
 
 

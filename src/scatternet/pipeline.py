@@ -174,19 +174,18 @@ def _crop_start(l_in: int, out_len: int, rng: np.random.Generator | None) -> int
     return int(rng.integers(0, l_in - out_len + 1))
 
 
-def random_crop_pad(x: np.ndarray, out_len: int = WINDOW_LEN,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
-    """Uniform random crop to out_len; short inputs zero-pad symmetrically
-    (left pad floor((out-L)/2))."""
+def random_crop_pad(x: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Uniform random crop to WINDOW_LEN; short inputs zero-pad symmetrically
+    (left pad floor((WINDOW_LEN-L)/2))."""
     x = np.asarray(x)
-    start = _crop_start(x.shape[1], out_len, engine.rng() if rng is None else rng)
-    return _slice_window(x, start, out_len)
+    start = _crop_start(x.shape[1], WINDOW_LEN, engine.rng() if rng is None else rng)
+    return _slice_window(x, start, WINDOW_LEN)
 
 
-def center_crop_pad(x: np.ndarray, out_len: int = WINDOW_LEN) -> np.ndarray:
-    """Deterministic center crop (evaluation path), zero-pad when short."""
+def center_crop_pad(x: np.ndarray) -> np.ndarray:
+    """Deterministic center crop to WINDOW_LEN (evaluation path), zero-pad when short."""
     x = np.asarray(x)
-    return _slice_window(x, _crop_start(x.shape[1], out_len, None), out_len)
+    return _slice_window(x, _crop_start(x.shape[1], WINDOW_LEN, None), WINDOW_LEN)
 
 
 def augment(x: np.ndarray, rng: np.random.Generator,
@@ -220,20 +219,23 @@ def augment(x: np.ndarray, rng: np.random.Generator,
     return out
 
 
+# the sex values a manifest may hold, and the aux feature code of each
+SEX_CODES = {"female": 0.0, "unknown": 0.5, "male": 1.0}
+
+
 def aux_features(rec: Record) -> np.ndarray:
     """(normalized age, sex code): age/100 clipped to [0,1], defaulting to 0.5
-    when absent; sex female=0, unknown=0.5, male=1, defaulting to 0 when absent."""
+    when absent; sex by SEX_CODES, defaulting to 0 when absent."""
     if rec.age is None:
         age = 0.5
     else:
         age = min(max(float(rec.age) / 100.0, 0.0), 1.0)
-    codes = {"female": 0.0, "unknown": 0.5, "male": 1.0}
     if rec.sex is None:
         sex = 0.0
     else:
-        if rec.sex not in codes:
+        if rec.sex not in SEX_CODES:
             raise DataError(f"record {rec.id}: sex must be female/male/unknown")
-        sex = codes[rec.sex]
+        sex = SEX_CODES[rec.sex]
     return np.array([age, sex], dtype=np.float32)
 
 
@@ -322,21 +324,24 @@ def synthetic_weight_matrix(n_classes: int) -> WeightMatrix:
 
 
 def write_dataset(path, records: list[Record], wm: WeightMatrix) -> None:
+    """Each file is written atomically. Every manifest's text is made before
+    the first file is written, so a record that cannot be serialized raises
+    and leaves the directory as it was."""
+    manifests = [json.dumps({
+        "id": rec.id,
+        "fs": rec.fs,
+        "n_samples": int(rec.signal.shape[1]),
+        "leads": N_LEADS,
+        "labels": list(rec.labels),
+        "age": rec.age,
+        "sex": rec.sex,
+    }, sort_keys=True) for rec in records]
     try:
         os.makedirs(path, exist_ok=True)
-        for rec in records:
-            manifest = {
-                "id": rec.id,
-                "fs": rec.fs,
-                "n_samples": int(rec.signal.shape[1]),
-                "leads": N_LEADS,
-                "labels": list(rec.labels),
-                "age": rec.age,
-                "sex": rec.sex,
-            }
+        for rec, text in zip(records, manifests):
             with atomic_write(os.path.join(path, f"{rec.id}.json"), "w",
                               encoding="utf-8") as fh:
-                json.dump(manifest, fh, sort_keys=True)
+                fh.write(text)
             with atomic_write(os.path.join(path, f"{rec.id}.f32"), "wb") as fh:
                 np.ascontiguousarray(rec.signal, dtype="<f4").tofile(fh)
         save_weight_matrix(os.path.join(path, "classes.csv"), wm)
@@ -355,7 +360,7 @@ _MANIFEST_FIELDS = {
     "labels": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
                "a list of strings"),
     "age": (lambda v: v is None or is_finite_number(v), "a finite number or null"),
-    "sex": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "sex": (lambda v: v in (None, *SEX_CODES), "female, male, unknown or null"),
 }
 
 
@@ -439,8 +444,6 @@ def filter_and_split(records: list[Record], wm: WeightMatrix, seed: int = 0
     n = len(ordered)
     n_train = round(0.90 * n)
     n_val = round(0.09 * n)
-    if n_train + n_val > n:
-        n_val = n - n_train
     return {
         "train": ordered[:n_train],
         "val": ordered[n_train:n_train + n_val],

@@ -943,12 +943,12 @@ def dropout(x, p: float, training: bool) -> Tensor:
 # -- gradient checking ------------------------------------------------------------------
 
 
-def grad_check(f, inputs: Sequence[Tensor], h: float = 1e-5,
-               max_samples: int = 64, seed: int = 0) -> float:
+def grad_check(f, inputs: Sequence[Tensor], max_samples: int = 64,
+               seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``f(*inputs)`` must return a scalar Tensor and be deterministic. The step
-    per coordinate is h * max(1, |x_i|). Tensors larger than ``max_samples``
+    per coordinate is 1e-5 * max(1, |x_i|). Tensors larger than ``max_samples``
     are probed on a seeded random subset of coordinates. The relative error
     denominator is floored at 1e-4 so near-zero gradient pairs compare
     absolutely instead of blowing up.
@@ -973,7 +973,7 @@ def grad_check(f, inputs: Sequence[Tensor], h: float = 1e-5,
             idx = rng.choice(t.data.size, size=max_samples, replace=False)
         for i in idx:
             orig = float(t.data.flat[i])
-            step = h * max(1.0, abs(orig))
+            step = 1e-5 * max(1.0, abs(orig))
             with engine.no_grad():
                 t.data.flat[i] = orig + step
                 hi = float(f(*inputs).data)

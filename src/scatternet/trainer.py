@@ -294,10 +294,10 @@ def _manifest_problem(manifest) -> str | None:
     unknown = model.keys() - _MODEL_VALUES.keys()
     if unknown:
         return f"unknown model keys {sorted(unknown)}"
-    for key, value in model.items():
-        valid, what = _MODEL_VALUES[key]
-        if not valid(value):
-            return f"model.{key} must be {what}, got {value!r}"
+    try:
+        ModelConfig(**model)
+    except ConfigError as exc:
+        return f"model.{exc}"
     cfg = manifest.get("train_config")
     seed = cfg.get("seed") if isinstance(cfg, dict) else None
     if not isinstance(seed, int) or isinstance(seed, bool):
@@ -503,22 +503,6 @@ def _forward_probs(model: Model, x: np.ndarray, aux: np.ndarray,
     return T.sigmoid(logits)
 
 
-def _eval_windows(model: Model, windows, batch_size: int
-                  ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Deterministic eval-mode pass over an iterable of windows, taken one
-    batch at a time; returns (probs, truth, window ids)."""
-    probs, truth, ids = [], [], []
-    windows = iter(windows)
-    with engine.no_grad():
-        while batch := _stack_windows(windows, batch_size):
-            x, aux, t, batch_ids = batch
-            ids.extend(batch_ids)
-            p = _forward_probs(model, x, aux, "eval")
-            probs.append(p.data)
-            truth.append(t)
-    return np.concatenate(probs), np.concatenate(truth), ids
-
-
 def evaluate_model(model: Model, records: list[Record], wm: WeightMatrix,
                    threshold: float = 0.5, batch_size: int = 256,
                    pooled: bool = False) -> dict:
@@ -536,7 +520,14 @@ def evaluate_model(model: Model, records: list[Record], wm: WeightMatrix,
     # batch of windows, not the whole set
     windows = (make_window(p, table, merged.k, out_len=model.config.window)
                for rec in records for p in prepare_pieces([rec]))
-    probs, truth, ids = _eval_windows(model, windows, batch_size)
+    probs, truth, ids = [], [], []
+    with engine.no_grad():
+        while batch := _stack_windows(windows, batch_size):
+            x, aux, t, batch_ids = batch
+            ids.extend(batch_ids)
+            probs.append(_forward_probs(model, x, aux, "eval").data)
+            truth.append(t)
+    probs, truth = np.concatenate(probs), np.concatenate(truth)
     pred = predict(probs, threshold)
     tp = ((pred > 0.5) & (truth > 0.5)).sum(axis=0).astype(np.float64)
     fp = ((pred > 0.5) & (truth <= 0.5)).sum(axis=0).astype(np.float64)

@@ -14,7 +14,8 @@ import pytest
 from scatternet import cli, engine, trainer
 from scatternet.cli import main, read_prediction_csv, write_prediction_csv
 from scatternet.engine import DataError
-from scatternet.loss import identity_weight_matrix, merged_class_table, save_weight_matrix
+from scatternet.loss import (discrete_challenge_score, identity_weight_matrix,
+                             merged_class_table, predict, save_weight_matrix)
 from scatternet.model import ModelConfig, build_model, parameter_count, tiny_config
 from scatternet.pipeline import (filter_and_split, make_synthetic_dataset,
                                  synthetic_weight_matrix, write_dataset)
@@ -670,3 +671,66 @@ class TestModelRuleManifests:
         ckpt = _write_manifest(tmp_path / "bad.ckpt", manifest)
         code = main(["eval", "--ckpt", str(ckpt), "--data", str(dataset_dir)])
         _assert_one_line_error(capsys, code, 2, "corrupt manifest", f"model.{field}")
+
+
+class TestNumericalAbortOneLine:
+    def test_overflowing_weights_exit_3_with_one_line(self, tmp_path, dataset_dir):
+        # 1e308 is finite as float64 and overflows float32, numpy's warnings
+        # included
+        weights = tmp_path / "classes.csv"
+        weights.write_text(",c00,c01\nc00,1e308,0.0\nc01,0.0,1e308\n", encoding="utf-8")
+        result = run_cli("train", "--data", str(dataset_dir), "--preset", "tiny",
+                         "--epochs", "1", "--batch-size", "4", "--weights", str(weights))
+        assert result.returncode == 3, result.stderr
+        assert result.stderr == "error: non-finite loss at epoch 0 batch 0 lr 0.003\n"
+
+
+class TestScorePaths:
+    def _files(self, tmp_path, csv_classes, probs):
+        wm_path = tmp_path / "classes.csv"
+        save_weight_matrix(wm_path, identity_weight_matrix(["a", "b"]))
+        truth = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+        ids = ["r0", "r1", "r2", "r3"]
+        write_prediction_csv(tmp_path / "t.csv", ids, csv_classes, truth)
+        write_prediction_csv(tmp_path / "p.csv", ids, csv_classes, probs)
+        return truth, ["--truth", str(tmp_path / "t.csv"), "--pred",
+                       str(tmp_path / "p.csv"), "--weights", str(wm_path)]
+
+    def test_threshold_is_applied(self, tmp_path, capsys):
+        probs = np.array([[0.4, 0.2], [0.35, 0.6], [0.45, 0.31], [0.1, 0.2]])
+        truth, files = self._files(tmp_path, ["a", "b"], probs)
+        merged, _ = merged_class_table(identity_weight_matrix(["a", "b"]))
+        at = {th: discrete_challenge_score(truth, predict(probs, th), merged)
+              for th in (0.3, 0.5)}
+        assert at[0.3] != at[0.5]
+        assert main(["score", *files, "--threshold", "0.3"]) == 0
+        assert capsys.readouterr().out == f"{at[0.3]:.9f}\n"
+
+    @pytest.mark.parametrize("command,flags", [
+        ("score", ("--truth", "--pred", "--weights")), ("eval", ("--ckpt", "--data"))])
+    def test_threshold_that_is_not_a_number(self, capsys, tmp_path, command, flags):
+        missing = [a for flag in flags for a in (flag, str(tmp_path / "missing"))]
+        assert main([command, *missing, "--threshold", "abc"]) == 1
+        err = capsys.readouterr().err
+        assert "--threshold" in err and "'abc'" in err and "cannot read" not in err
+
+    def test_csv_classes_differ_from_the_merged_matrix(self, tmp_path, capsys):
+        _, files = self._files(tmp_path, ["a", "c"], np.full((4, 2), 0.5))
+        _assert_one_line_error(capsys, main(["score", *files]), 2,
+                               "CSV classes do not match the merged weight matrix")
+
+
+class TestEmptySplit:
+    def test_holdout_of_24_records_exits_2(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        recs = make_synthetic_dataset(24, 2, np.random.default_rng(48))
+        write_dataset(data, recs, synthetic_weight_matrix(2))
+        merged, _ = merged_class_table(synthetic_weight_matrix(2))
+        assert filter_and_split(recs, merged, seed=0)["holdout"] == []
+        ckpt = _write_manifest(tmp_path / "m.ckpt", {
+            "version": 1, "variant": "baseline", "model": {"n_classes": 2, "window": 512},
+            "train_config": {"seed": 0}, "classes": ["c00", "c01"], "epoch": 0,
+            "best_score": 0.0, "adam_step": 0, "index": []})
+        code = main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                     "--split", "holdout"])
+        _assert_one_line_error(capsys, code, 2, "split 'holdout' is empty")

@@ -562,3 +562,46 @@ class TestTooShortToNormalize:
         rec = make_record(np.ones((12, n)), fs=fs, rec_id="short")
         with pytest.raises(DataError, match="^record short: 1 sample at 500 Hz"):
             prepare_pieces([rec])
+
+
+class TestDatasetWrittenWhole:
+    """write_dataset makes every manifest's text before it writes any file."""
+
+    def test_unserializable_record_leaves_every_file(self, tmp_path):
+        out = tmp_path / "ds"
+        write_dataset(out, make_synthetic_dataset(2, 2, engine.derived_rng(13, "synth")),
+                      synthetic_weight_matrix(2))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        new = make_synthetic_dataset(2, 3, engine.derived_rng(14, "synth"))
+        new[1] = dataclasses.replace(new[1], age=object())
+        with pytest.raises(TypeError):
+            write_dataset(out, new, synthetic_weight_matrix(3))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+class TestSexVocabulary:
+    """Manifests and aux_features read one table of sex values."""
+
+    def _write(self, tmp_path, sex):
+        out = tmp_path / "ds"
+        write_dataset(out, make_synthetic_dataset(2, 2, engine.derived_rng(13, "synth")),
+                      synthetic_weight_matrix(2))
+        path = out / "syn0000.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["sex"] = sex
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        return out
+
+    @pytest.mark.parametrize("sex", ["M", "", "Male", ["male"], 1])
+    def test_value_outside_the_table_is_a_data_error(self, tmp_path, sex):
+        out = self._write(tmp_path, sex)
+        with pytest.raises(DataError, match="^manifest syn0000.json: field 'sex' must "
+                                            "be female, male, unknown or null, got "):
+            load_dataset(out)
+
+    @pytest.mark.parametrize("sex", ["female", "unknown", "male", None])
+    def test_value_in_the_table_loads_and_codes(self, tmp_path, sex):
+        out = self._write(tmp_path, sex)
+        rec = {r.id: r for r in load_dataset(out)[0]}["syn0000"]
+        assert rec.sex == sex
+        assert aux_features(rec)[1] == np.float32(pipeline.SEX_CODES.get(sex, 0.0))
