@@ -55,7 +55,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="scatternet", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    # each flag's dest is its TrainConfig field; a flag left unset is None
+    # every flag but --config has its TrainConfig field as dest, None when unset
     p_train = sub.add_parser("train", help="train a model")
     p_train.add_argument("--data", required=True, help="dataset directory")
     p_train.add_argument("--weights", help="classes.csv override")
