@@ -19,8 +19,7 @@ from . import engine
 from .engine import ConfigError, DataError, NumericalAbort, ShapeError
 from .loss import (discrete_challenge_score, load_weight_matrix,
                    merged_class_table, predict, read_csv_table, write_csv_table)
-from .model import (ModelConfig, build_model, layer_table, parameter_count,
-                    tiny_config)
+from .model import PRESETS, VARIANTS, build_model, layer_table, parameter_count
 from .pipeline import (filter_and_split, load_dataset, make_synthetic_dataset,
                        synthetic_weight_matrix, write_dataset)
 from .trainer import (Checkpoint, TrainConfig, config_from_mapping, evaluate_model,
@@ -59,14 +58,14 @@ def _build_parser() -> _Parser:
     p_train = sub.add_parser("train", help="train a model")
     p_train.add_argument("--data", required=True, help="dataset directory")
     p_train.add_argument("--weights", help="classes.csv override")
-    p_train.add_argument("--variant", choices=("baseline", "scatter"))
+    p_train.add_argument("--variant", choices=VARIANTS)
     p_train.add_argument("--config", default="", help="key=value config file")
     p_train.add_argument("--out", help="checkpoint output path")
     p_train.add_argument("--seed", type=int)
     p_train.add_argument("--epochs", type=int, dest="max_epochs", metavar="EPOCHS",
                          help="override max_epochs")
     p_train.add_argument("--batch-size", type=int)
-    p_train.add_argument("--preset", choices=("full", "tiny"))
+    p_train.add_argument("--preset", choices=PRESETS)
     p_train.add_argument("--verbose", action="store_true", default=None)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -87,9 +86,8 @@ def _build_parser() -> _Parser:
     p_score.add_argument("--pooled", action="store_true")
 
     p_params = sub.add_parser("params", help="print parameter counts")
-    p_params.add_argument("--variant", choices=("baseline", "scatter"),
-                          required=True)
-    p_params.add_argument("--preset", choices=("full", "tiny"), default="full")
+    p_params.add_argument("--variant", choices=VARIANTS, required=True)
+    p_params.add_argument("--preset", choices=PRESETS, default="full")
     p_params.add_argument("--table", action="store_true",
                           help="print the per-layer table")
 
@@ -150,9 +148,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     ckpt = Checkpoint.load(args.ckpt)
     records, wm = load_dataset(args.data)
-    merged, _ = merged_class_table(wm)
-    splits = filter_and_split(records, merged,
-                              seed=ckpt.manifest["train_config"]["seed"])
+    splits = filter_and_split(records, wm, seed=ckpt.manifest["train_config"]["seed"])
     chosen = splits[args.split]
     # the scored split is all that is read from here on
     del records, splits
@@ -193,8 +189,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_params(args) -> int:
     engine.seed(0)
-    mcfg = tiny_config() if args.preset == "tiny" else ModelConfig()
-    model = build_model(mcfg, args.variant)
+    model = build_model(PRESETS[args.preset](), args.variant)
     total = parameter_count(model)
     print(f"{total}")
     if args.table:

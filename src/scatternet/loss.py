@@ -128,17 +128,10 @@ def merge_identical_classes(wm: WeightMatrix,
     ``label_map`` (alias -> original id), to its merged class index.
     Idempotent: distinct merged classes never share a row/column pair.
     """
-    k = wm.k
-    groups: list[list[int]] = []
-    key_to_group: dict[bytes, int] = {}
-    for i in range(k):
-        key = wm.w[i, :].tobytes() + wm.w[:, i].tobytes()
-        if key in key_to_group:
-            groups[key_to_group[key]].append(i)
-        else:
-            key_to_group[key] = len(groups)
-            groups.append([i])
-
+    by_key: dict[bytes, list[int]] = {}
+    for i in range(wm.k):
+        by_key.setdefault(wm.w[i, :].tobytes() + wm.w[:, i].tobytes(), []).append(i)
+    groups = list(by_key.values())
     reps = [g[0] for g in groups]
     merged_labels = tuple("|".join(wm.labels[i] for i in g) for g in groups)
     merged_w = wm.w[np.ix_(reps, reps)].copy()

@@ -74,6 +74,11 @@ def tiny_config(n_classes: int = 24) -> ModelConfig:
                        fc_hidden=64)
 
 
+# the model variants, and each preset's ModelConfig builder (n_classes=...)
+VARIANTS = ("baseline", "scatter")
+PRESETS = {"full": ModelConfig, "tiny": tiny_config}
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     name: str
@@ -93,8 +98,8 @@ def _scaled(value: int, scale: float) -> int:
 
 def layer_specs(config: ModelConfig, variant: str) -> list[LayerSpec]:
     """Declarative architecture table for a config/variant pair."""
-    if variant not in ("baseline", "scatter"):
-        raise ConfigError(f"variant must be baseline or scatter, got {variant!r}")
+    if variant not in VARIANTS:
+        raise ConfigError(f"variant must be {' or '.join(VARIANTS)}, got {variant!r}")
     stem = _scaled(_STEM_OUT, config.width_scale)
     outs = [_scaled(o, config.width_scale) for o in _STAGE_OUT]
     head = _scaled(_HEAD_OUT, config.width_scale)

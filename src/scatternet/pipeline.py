@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from typing import Iterable
@@ -22,7 +23,7 @@ import numpy as np
 from . import engine
 from .engine import DataError, ShapeError, atomic_write, is_finite_number
 from .loss import WeightMatrix, identity_weight_matrix, load_weight_matrix, \
-    save_weight_matrix
+    merged_class_table, save_weight_matrix
 
 TARGET_FS = 500.0
 PIECE_LEN = 10240
@@ -32,6 +33,8 @@ EPS_STD = 1e-6
 # Longest record accepted, in 500 Hz sample steps: one hour, above every
 # PhysioNet 2020 record. Longer records are data errors.
 MAX_SPAN_500 = 1_800_000
+# the sex values a record may hold, and the aux feature code of each
+SEX_CODES = {"female": 0.0, "unknown": 0.5, "male": 1.0}
 
 
 @dataclass
@@ -54,6 +57,8 @@ class Record:
             raise DataError(f"record {self.id}: non-finite samples")
         if not (math.isfinite(self.fs) and self.fs > 0):
             raise DataError(f"record {self.id}: fs must be a finite number > 0")
+        if self.sex not in (None, *SEX_CODES):
+            raise DataError(f"record {self.id}: sex must be female/male/unknown")
         self.signal = sig
         self.labels = tuple(self.labels)
 
@@ -219,23 +224,18 @@ def augment(x: np.ndarray, rng: np.random.Generator,
     return out
 
 
-# the sex values a manifest may hold, and the aux feature code of each
-SEX_CODES = {"female": 0.0, "unknown": 0.5, "male": 1.0}
-
-
 def aux_features(rec: Record) -> np.ndarray:
     """(normalized age, sex code): age/100 clipped to [0,1], defaulting to 0.5
-    when absent; sex by SEX_CODES, defaulting to 0 when absent."""
+    when absent; sex by SEX_CODES, defaulting to 0 when absent. An age that is
+    not a finite real number is a DataError."""
     if rec.age is None:
         age = 0.5
-    else:
+    elif (isinstance(rec.age, numbers.Real) and not isinstance(rec.age, bool)
+          and math.isfinite(rec.age)):
         age = min(max(float(rec.age) / 100.0, 0.0), 1.0)
-    if rec.sex is None:
-        sex = 0.0
     else:
-        if rec.sex not in SEX_CODES:
-            raise DataError(f"record {rec.id}: sex must be female/male/unknown")
-        sex = SEX_CODES[rec.sex]
+        raise DataError(f"record {rec.id}: age must be a finite number")
+    sex = 0.0 if rec.sex is None else SEX_CODES[rec.sex]
     return np.array([age, sex], dtype=np.float32)
 
 
@@ -430,9 +430,7 @@ def filter_and_split(records: list[Record], wm: WeightMatrix, seed: int = 0
     so the split is a pure function of (ids, seed) with sizes within
     rounding of the 90/9/1 fractions.
     """
-    scored = set(wm.labels)
-    for label_group in wm.labels:
-        scored.update(label_group.split("|"))
+    _, scored = merged_class_table(wm)
     kept = [r for r in records if any(lb in scored for lb in r.labels)]
     if not kept:
         raise DataError("no scored records after filtering")

@@ -28,8 +28,8 @@ from . import tensor as T
 from .tensor import Tensor
 from .loss import (WeightMatrix, bce, combined_loss, discrete_challenge_score,
                    load_weight_matrix, merged_class_table, predict)
-from .model import (_MODEL_VALUES, MIN_WINDOW, Model, ModelConfig, build_model,
-                    flat_views, tiny_config)
+from .model import (_MODEL_VALUES, MIN_WINDOW, PRESETS, VARIANTS, Model, ModelConfig,
+                    build_model, flat_views)
 from .pipeline import (AugmentConfig, Record, filter_and_split, load_dataset,
                        make_window, prepare_pieces)
 
@@ -48,8 +48,8 @@ _CONFIG_RULES = {
                      "plateau_patience"), (lambda v: v >= 0, ">= 0")),
     "window": (lambda v: v == 0 or v >= MIN_WINDOW, f"0 or >= {MIN_WINDOW}"),
     **dict.fromkeys(("batch_size", "max_epochs"), (lambda v: v >= 1, ">= 1")),
-    "variant": (lambda v: v in ("baseline", "scatter"), "baseline or scatter"),
-    "preset": (lambda v: v in ("full", "tiny"), "full or tiny"),
+    "variant": (lambda v: v in VARIANTS, " or ".join(VARIANTS)),
+    "preset": (lambda v: v in PRESETS, " or ".join(PRESETS)),
 }
 
 
@@ -91,8 +91,7 @@ class TrainConfig:
                 raise ConfigError(f"{f.name} must be {what}, got {value!r}")
 
     def model_config(self, n_classes: int) -> ModelConfig:
-        base = tiny_config(n_classes) if self.preset == "tiny" \
-            else ModelConfig(n_classes=n_classes)
+        base = PRESETS[self.preset](n_classes=n_classes)
         if self.window:
             base = dataclasses.replace(base, window=self.window)
         return base
@@ -286,8 +285,8 @@ def _manifest_problem(manifest) -> str | None:
     index = manifest.get("index")
     if not isinstance(index, list) or not all(map(_valid_index_entry, index)):
         return "no valid array index"
-    if manifest.get("variant") not in ("baseline", "scatter"):
-        return f"variant must be baseline or scatter, got {manifest.get('variant')!r}"
+    if manifest.get("variant") not in VARIANTS:
+        return f"variant must be {' or '.join(VARIANTS)}, got {manifest.get('variant')!r}"
     model = manifest.get("model")
     if not isinstance(model, dict):
         return "model is not an object"
@@ -589,8 +588,13 @@ def train(cfg: TrainConfig, dataset: tuple[list[Record], WeightMatrix] | None = 
     and each raw train record goes as soon as its pieces exist, so the
     train split is never held twice.
     """
-    if cfg.out and os.path.isdir(cfg.out):
-        raise DataError(f"cannot write {cfg.out}: it is a directory")
+    if cfg.out:
+        if os.path.isdir(cfg.out):
+            raise DataError(f"cannot write {cfg.out}: it is a directory")
+        try:
+            os.makedirs(os.path.dirname(os.path.abspath(cfg.out)), exist_ok=True)
+        except OSError as exc:
+            raise DataError(f"cannot write {cfg.out}: {exc}") from exc
     engine.seed(cfg.seed)
     if dataset is None:
         records, wm = load_dataset(cfg.data)
@@ -674,9 +678,5 @@ def train(cfg: TrainConfig, dataset: tuple[list[Record], WeightMatrix] | None = 
                                best_epoch, best_score, **best_state)
     ckpt.history = history
     if cfg.out:
-        try:
-            os.makedirs(os.path.dirname(os.path.abspath(cfg.out)), exist_ok=True)
-        except OSError as exc:
-            raise DataError(f"cannot write {cfg.out}: {exc}") from exc
         ckpt.save(cfg.out)
     return ckpt

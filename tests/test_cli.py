@@ -13,10 +13,11 @@ import pytest
 
 from scatternet import cli, engine, trainer
 from scatternet.cli import main, read_prediction_csv, write_prediction_csv
-from scatternet.engine import DataError
+from scatternet.engine import ConfigError, DataError
 from scatternet.loss import (discrete_challenge_score, identity_weight_matrix,
                              merged_class_table, predict, save_weight_matrix)
-from scatternet.model import ModelConfig, build_model, parameter_count, tiny_config
+from scatternet.model import (PRESETS, ModelConfig, build_model, layer_specs,
+                              parameter_count, tiny_config)
 from scatternet.pipeline import (filter_and_split, make_synthetic_dataset,
                                  synthetic_weight_matrix, write_dataset)
 from scatternet.trainer import Checkpoint
@@ -734,3 +735,41 @@ class TestEmptySplit:
         code = main(["eval", "--ckpt", str(ckpt), "--data", str(data),
                      "--split", "holdout"])
         _assert_one_line_error(capsys, code, 2, "split 'holdout' is empty")
+
+
+class TestVocabularyOwners:
+    """model.VARIANTS and model.PRESETS are the one list of variants and of
+    presets: configs, checkpoints and the CLI read them, and say the same
+    thing about a name outside them."""
+
+    def test_presets_build_each_train_config_model(self):
+        assert PRESETS["full"]() == ModelConfig() and PRESETS["tiny"]() == tiny_config()
+        for preset, build in PRESETS.items():
+            assert trainer.TrainConfig(preset=preset).model_config(5) == build(n_classes=5)
+
+    def test_unknown_names_in_configs_and_checkpoints(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^variant must be baseline or scatter, "
+                                              r"got 'resnet'$"):
+            trainer.TrainConfig(variant="resnet")
+        with pytest.raises(ConfigError, match=r"^preset must be full or tiny, got 'big'$"):
+            trainer.TrainConfig(preset="big")
+        with pytest.raises(ConfigError, match=r"^variant must be baseline or scatter, "
+                                              r"got 'resnet'$"):
+            layer_specs(ModelConfig(), "resnet")
+        path = _write_manifest(tmp_path / "m.ckpt", {
+            "version": 1, "variant": "resnet", "model": {}, "index": []})
+        with pytest.raises(DataError) as err:
+            Checkpoint.load(path)
+        assert str(err.value) == (f"{path}: corrupt manifest: variant must be "
+                                  "baseline or scatter, got 'resnet'")
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "d", "--variant", "resnet"],
+        ["params", "--variant", "resnet"],
+        ["train", "--data", "d", "--preset", "big"],
+        ["params", "--variant", "scatter", "--preset", "big"]])
+    def test_cli_choices(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        want = ("'baseline', 'scatter'" if "resnet" in argv else "'full', 'tiny'")
+        assert f"invalid choice: '{argv[-1]}' (choose from {want})" in err

@@ -11,8 +11,8 @@ import pytest
 
 from scatternet import engine, pipeline
 from scatternet.engine import DataError, ShapeError
-from scatternet.loss import (identity_weight_matrix, merge_identical_classes,
-                             save_weight_matrix)
+from scatternet.loss import (WeightMatrix, identity_weight_matrix,
+                             merge_identical_classes, save_weight_matrix)
 from scatternet.pipeline import (AugmentConfig, Record, augment, aux_features,
                                  center_crop_pad, disabled_augment,
                                  filter_and_split, load_dataset,
@@ -605,3 +605,59 @@ class TestSexVocabulary:
         rec = {r.id: r for r in load_dataset(out)[0]}["syn0000"]
         assert rec.sex == sex
         assert aux_features(rec)[1] == np.float32(pipeline.SEX_CODES.get(sex, 0.0))
+
+
+class TestRecordOwnsTheSexRule:
+    """A Record rejects a sex outside SEX_CODES when it is built, so a record
+    made in code fails before any model is built, as a manifest does."""
+
+    @pytest.mark.parametrize("sex", ["M", "", "Male", ["male"], 1])
+    def test_value_outside_the_table_is_a_one_line_data_error(self, sex):
+        with pytest.raises(DataError) as err:
+            make_record(np.zeros((12, 10)), rec_id="syn0001", sex=sex)
+        assert str(err.value) == "record syn0001: sex must be female/male/unknown"
+
+
+class TestAuxAgeRule:
+    """aux_features takes a finite real age or None; anything else is a
+    DataError that names the record, not a nan feature or a TypeError."""
+
+    @pytest.mark.parametrize("age", [float("nan"), float("inf"), float("-inf"),
+                                     np.float32("nan"), np.float64("inf"),
+                                     object(), "50", True])
+    def test_bad_age_is_a_one_line_data_error(self, age):
+        rec = make_record(np.zeros((12, 10)), rec_id="syn0002", age=age)
+        with pytest.raises(DataError) as err:
+            aux_features(rec)
+        assert str(err.value) == "record syn0002: age must be a finite number"
+
+    @pytest.mark.parametrize("age", [50, 50.0, np.float32(50), np.float64(50),
+                                     np.int64(50), np.int16(50)])
+    def test_finite_python_and_numpy_numbers_pass(self, age):
+        feat = aux_features(make_record(np.zeros((12, 10)), age=age))
+        assert feat[0] == np.float32(0.5) and feat.dtype == np.float32
+
+
+class TestSplitOfMergedMatrix:
+    """filter_and_split keeps the same records for a weight matrix and for its
+    merged form, whose ids are joined with '|'."""
+
+    def test_same_records_for_a_matrix_and_its_merged_form(self):
+        w = np.eye(4)
+        w[1] = w[0]
+        w[:, 1] = w[:, 0]
+        wm = WeightMatrix(("a", "b", "c", "d"), w)
+        merged, _ = merge_identical_classes(wm)
+        assert merged.labels == ("a|b", "c", "d")
+        rng = np.random.default_rng(5)
+        names = ["a", "b", "c", "d", "x", "y"]
+        recs = [make_record(np.zeros((12, 10)), rec_id=f"r{i:03d}",
+                            labels=tuple(rng.choice(names, size=rng.integers(1, 3))))
+                for i in range(120)]
+        ids = {kind: [[r.id for r in part] for part in
+                      filter_and_split(recs, m, seed=4).values()]
+               for kind, m in (("raw", wm), ("merged", merged),
+                               ("twice", merge_identical_classes(merged)[0]))}
+        assert ids["raw"] == ids["merged"] == ids["twice"]
+        kept = {i for part in ids["raw"] for i in part}
+        assert kept == {r.id for r in recs if set(r.labels) & {"a", "b", "c", "d"}}

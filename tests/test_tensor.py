@@ -1709,3 +1709,10 @@ class TestOpsBuiltByHelpers:
             if x.grad is not None:
                 assert x.grad.dtype == y.grad.dtype and x.grad.shape == y.grad.shape
                 assert x.grad.tobytes() == y.grad.tobytes()
+
+
+class TestTensorRepr:
+    def test_repr_gives_shape_and_requires_grad(self):
+        assert repr(Tensor(np.zeros((2, 3)), requires_grad=True)) == \
+            "Tensor(shape=(2, 3), requires_grad=True)"
+        assert repr(Tensor(1.5)) == "Tensor(shape=(), requires_grad=False)"

@@ -1319,3 +1319,38 @@ class TestEvaluateSamplingRates:
         with pytest.raises(DataError, match="1 sample at 500 Hz") as info:
             evaluate_model(_eval_model(), [rec], synthetic_weight_matrix(2))
         assert "\n" not in str(info.value)
+
+
+class TestOutDirectoryMadeFirst:
+    """train makes out's directory before it reads any data, so a path it
+    cannot write fails before the first epoch, not after the last."""
+
+    def test_out_under_a_regular_file_fails_before_training(self, tmp_path, tiny_dataset,
+                                                             monkeypatch):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory", encoding="utf-8")
+        out = blocker / "sub" / "model.ckpt"
+        evaluated = []
+        monkeypatch.setattr(trainer, "evaluate_model",
+                            lambda *a, **k: evaluated.append(1))
+        with pytest.raises(DataError) as err:
+            train(quick_cfg(out=str(out)), dataset=tiny_dataset)
+        message = str(err.value)
+        assert message.startswith(f"cannot write {out}: ") and "\n" not in message
+        assert evaluated == []
+
+
+class TestAdamWithoutParameters:
+    """An Adam over no parameters takes the engine dtype, and a step counts
+    without moving anything."""
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_engine_dtype_and_counted_steps(self, precision):
+        with engine.precision(precision):
+            adam = Adam([])
+        assert adam._m.dtype == adam._v.dtype == np.dtype(precision)
+        assert adam._m.shape == (0,)
+        adam.step(0.1)
+        adam.step(0.1)
+        assert adam.step_count == 2
+        assert adam.moments() == [] and adam._m.shape == (0,)
